@@ -21,10 +21,11 @@ from .numerics import (
     NoSignChange,
     PrecisionReal,
     Scalar,
+    _as_real,
+    _sign_changes,
     e_value,
     exp,
     find_root,
-    scan_brackets,
     scan_for_bracket,
     sqrt,
 )
@@ -83,12 +84,6 @@ class NotRegularGraph(BoundsError):
 
 class NoRoot(BoundsError):
     """No certified sign change was found for an implicit equation."""
-
-
-def _as_real(x: Scalar, bits: Optional[int] = None) -> PrecisionReal:
-    if isinstance(x, PrecisionReal):
-        return x
-    return PrecisionReal(x, bits)
 
 
 def _resolve_bits(precision_bits: Optional[int], *vals) -> int:
@@ -399,8 +394,17 @@ def sigma(
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
     bits = precision_bits or DEFAULT_PRECISION_BITS
-    mu_n = mu(n, bits, tol).mu
-    tau_n = tau(n, bits, tol)
+    return _sigma(n, bits, tol, mu(n, bits, tol).mu, tau(n, bits, tol))
+
+
+def _sigma(
+    n: int, bits: int, tol: Scalar, mu_n: PrecisionReal, tau_n: PrecisionReal
+) -> PrecisionReal:
+    """sigma(n) from mu_n and tau_n already in hand.
+
+    The grid is scanned from tau_n downward and stops at the first sign
+    change, which is the last one of the full left-to-right scan.
+    """
     beta = PrecisionReal(2, bits) / n
 
     def f(a: PrecisionReal) -> PrecisionReal:
@@ -409,14 +413,11 @@ def sigma(
         return _what_lower_value(mm_defect(n, a, beta, bits)) - mu_n
 
     lo = PrecisionReal(1, bits) / n
-    brackets = []
     for steps in (600, 2400, 9600):
-        brackets = scan_brackets(f, lo, tau_n, steps)
-        if brackets:
-            break
-    if not brackets:
-        raise NoRoot(f"no certified sign change for sigma({n}) below tau({n})")
-    return find_root(f, brackets[-1], tol)
+        bracket = next(_sign_changes(f, lo, tau_n, steps, from_right=True), None)
+        if bracket is not None:
+            return find_root(f, bracket, tol)
+    raise NoRoot(f"no certified sign change for sigma({n}) below tau({n})")
 
 
 def theta(
@@ -437,28 +438,31 @@ def regular_graph_lambda_bound(
 ) -> PrecisionReal:
     """The alpha solving beta0(alpha)^(n-1) / alpha^n = mu_n, even n >= 4.
 
-    beta0 is the zero-defect partner of alpha; along that constraint the
-    left side is increasing in alpha, so the root is unique.
+    beta0 is the zero-defect partner of alpha (``beta_for_equality``).  On
+    that curve the Marnat-Moshchevitin defect (Mathematika 2020) vanishes:
+    epsilon = 1 - alpha (1 + r + ... + r^(n-1)) = 0 with r = alpha/beta0.
+    Put s = beta0/alpha = 1/r.  Then beta0^(n-1)/alpha^n = s^(n-1)/alpha,
+    so the bound equation gives alpha = s^(n-1)/mu_n, and substituting
+    that into epsilon = 0 leaves one polynomial equation in s:
+
+        1 + s + s^2 + ... + s^(n-1) = mu_n.
+
+    Its left side is increasing for s > 0, equals n < mu_n at s = 1 and
+    exceeds mu_n at s = mu_n, so (1, mu_n) is a certified bracket holding
+    the unique root, and the bound is alpha = s^(n-1)/mu_n.
     """
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
     bits = precision_bits or DEFAULT_PRECISION_BITS
-    mu_n = mu(n, bits, tol).mu
+    return _regular_graph_bound(n, bits, tol, mu(n, bits, tol).mu)
 
-    def h(a: PrecisionReal) -> PrecisionReal:
-        b0 = beta_for_equality(n, a, bits, tol)
-        return b0 ** (n - 1) / a**n - mu_n
 
+def _regular_graph_bound(n: int, bits: int, tol: Scalar, mu_n: PrecisionReal) -> PrecisionReal:
+    """regular_graph_lambda_bound(n) from mu_n already in hand."""
     one = PrecisionReal(1, bits)
-    lo = one / n + one / n / (1 << 16)
-    hi = one / 2
-    for _ in range(200):
-        if h(hi).sign() > 0:
-            break
-        hi = (hi + 1) / 2
-    else:
-        raise NoRoot("bound expression never exceeded mu_n below alpha = 1")
-    return find_root(h, Bracket(lo, hi, -1, 1), tol)
+    g = lambda s: _geometric_sum(one, s, n) - mu_n
+    s = find_root(g, Bracket(one, mu_n, -1, 1), tol)
+    return s ** (n - 1) / mu_n
 
 
 def chi_estimate(n: int, precision_bits: Optional[int] = None) -> PrecisionReal:
@@ -466,8 +470,11 @@ def chi_estimate(n: int, precision_bits: Optional[int] = None) -> PrecisionReal:
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
     bits = precision_bits or DEFAULT_PRECISION_BITS
-    t = tau(n, bits)
-    return PrecisionReal(n, bits) ** 2 * (PrecisionReal(2, bits) / n - t)
+    return _chi(n, bits, tau(n, bits))
+
+
+def _chi(n: int, bits: int, tau_n: PrecisionReal) -> PrecisionReal:
+    return PrecisionReal(n, bits) ** 2 * (PrecisionReal(2, bits) / n - tau_n)
 
 
 # -- transference and low-dimension identities --------------------------------
@@ -610,25 +617,30 @@ def constants_report(
     n: int,
     precision_bits: Optional[int] = None,
     theta_value: Optional[PrecisionReal] = None,
+    tol: Scalar = DEFAULT_TOL,
 ) -> ConstantsReport:
     """One row of the constants table; sigma and the regular-graph bound
-    exist for even n >= 4, tau for even n >= 2, the 2/(n+1) bound for odd n."""
+    exist for even n >= 4, tau for even n >= 2, the 2/(n+1) bound for odd n.
+
+    mu_n and tau_n are solved once and shared by every constant built on
+    them; tol is the relative width of every root.
+    """
     if not isinstance(n, int) or n < 2:
         raise DomainError("n must be an integer >= 2")
     bits = precision_bits or DEFAULT_PRECISION_BITS
-    th = theta_value if theta_value is not None else theta(bits)
-    w_n, mu_n = mu(n, bits)
+    th = theta_value if theta_value is not None else theta(bits, tol)
+    w_n, mu_n = mu(n, bits, tol)
     if n % 2 == 0:
-        tau_n = tau(n, bits)
+        tau_n = tau(n, bits, tol)
         big_enough = n >= 4
         return ConstantsReport(
             n=n,
             tau_n=tau_n,
-            sigma_n=sigma(n, bits) if big_enough else None,
+            sigma_n=_sigma(n, bits, tol, mu_n, tau_n) if big_enough else None,
             w_n_aux=w_n,
             mu_n=mu_n,
-            regular_graph_bound=regular_graph_lambda_bound(n, bits) if big_enough else None,
-            chi_estimate=chi_estimate(n, bits) if big_enough else None,
+            regular_graph_bound=_regular_graph_bound(n, bits, tol, mu_n) if big_enough else None,
+            chi_estimate=_chi(n, bits, tau_n) if big_enough else None,
             theta=th,
             laurent_bound=None,
         )

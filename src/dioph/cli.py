@@ -2,8 +2,7 @@
 simulation runs, and verification suites.
 
 Exit codes: 0 success, 2 usage, 3 domain/hypothesis violations, 4 numeric
-failures.  Identical inputs and configuration produce byte-identical output
-regardless of thread count.
+failures.  Identical inputs and configuration produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -23,6 +21,7 @@ from .numerics import (
     DEFAULT_TOL,
     NumericsError,
     PrecisionReal,
+    Scalar,
     e_value,
     format_real,
     golden_value,
@@ -61,21 +60,26 @@ _NAMED_CONSTANTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """precision_bits, the relative root width tol (None: the coarser of
+    DEFAULT_TOL and 2^(8 - precision_bits), which bisection can reach at
+    that precision) and the output format."""
+
     precision_bits: int = DEFAULT_PRECISION_BITS
-    tol: str = DEFAULT_TOL
+    tol: Optional[Scalar] = None
     output_format: str = "text"
-    threads: int = 1
 
     def __post_init__(self):
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
+        if self.tol is None:
+            floor = PrecisionReal(1, self.precision_bits) / (1 << (self.precision_bits - 8))
+            reachable = max(PrecisionReal(DEFAULT_TOL, self.precision_bits), floor)
+            object.__setattr__(self, "tol", reachable)
         t = PrecisionReal(self.tol, self.precision_bits)
         if t.sign() <= 0:
             raise ValueError("tol must parse as a positive real")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError("output_format must be json, csv or text")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 def _parse_n_range(spec: str, even_only: bool) -> List[int]:
@@ -114,18 +118,9 @@ def _report_row(rep: bd.ConstantsReport) -> dict:
 
 def _cmd_bounds(args, config: RunConfig, out) -> int:
     ns = _parse_n_range(args.n, args.even)
-    bits = config.precision_bits
-    theta = bd.theta(bits)
-
-    def one(n: int) -> bd.ConstantsReport:
-        return bd.constants_report(n, bits, theta_value=theta)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            reports = list(pool.map(one, ns))
-    else:
-        reports = [one(n) for n in ns]
-
+    bits, tol = config.precision_bits, config.tol
+    theta = bd.theta(bits, tol)
+    reports = [bd.constants_report(n, bits, theta_value=theta, tol=tol) for n in ns]
     rows = [_report_row(r) for r in reports]
     theta_str = format_real(theta, 12)
     if config.output_format == "json":
@@ -273,6 +268,16 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
     return EXIT_OK if all_ok else 1
 
 
+def _add_format(p: argparse.ArgumentParser, choices: Sequence[str]) -> None:
+    p.add_argument(
+        "--format",
+        dest="output_format",
+        choices=choices,
+        default=argparse.SUPPRESS,
+        help="output format",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -281,17 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="working mantissa precision (>= 64)",
     )
-    common.add_argument(
-        "--tol", default=argparse.SUPPRESS, help="root-finding tolerance (relative)"
-    )
-    common.add_argument(
-        "--format",
-        dest="output_format",
-        choices=("json", "csv", "text"),
-        default=argparse.SUPPRESS,
-        help="output format for tabular commands",
-    )
-    common.add_argument("--threads", default=argparse.SUPPRESS, help="worker threads or 'auto'")
 
     parser = argparse.ArgumentParser(
         prog="dioph",
@@ -303,12 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="per-dimension constants table", parents=[common])
     p.add_argument("--n", required=True, help="dimension or range, e.g. 4 or 4..8")
     p.add_argument("--even", action="store_true", help="keep only even dimensions")
+    p.add_argument(
+        "--tol",
+        default=argparse.SUPPRESS,
+        help="relative width of every root (default: the coarser of 1e-30 and 2^(8 - bits))",
+    )
+    _add_format(p, ("json", "csv", "text"))
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("theorem-new", help="dual-exponent bounds for one (n, alpha, beta)", parents=[common])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
+    _add_format(p, ("json", "text"))
     p.set_defaults(func=_cmd_theorem_new)
 
     p = sub.add_parser("simulate", help="minimal points, profile, and exponent estimates", parents=[common])
@@ -324,19 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default=None, help="envelope exponent for the record checker")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--allow-huge", action="store_true", help="lift the xmax cap")
+    _add_format(p, ("json",))
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run a named invariant suite", parents=[common])
     p.add_argument("suite", choices=sorted(SUITE_NAMES))
+    _add_format(p, ("json",))
     p.set_defaults(func=_cmd_verify)
 
     return parser
-
-
-def _resolve_threads(raw: str) -> int:
-    if raw == "auto":
-        return min(4, os.cpu_count() or 1)
-    return int(raw)
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
@@ -351,9 +348,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                 "precision_bits",
                 int(env_bits) if env_bits else DEFAULT_PRECISION_BITS,
             ),
-            tol=getattr(args, "tol", DEFAULT_TOL),
+            tol=getattr(args, "tol", None),
             output_format=getattr(args, "output_format", "text"),
-            threads=_resolve_threads(getattr(args, "threads", "auto")),
         )
     except ValueError as ex:
         parser.error(str(ex))  # exits with code 2

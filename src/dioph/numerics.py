@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -466,6 +466,60 @@ def find_root(
     raise NoConvergence("iteration budget exhausted")
 
 
+def _sign_changes(
+    f: Callable[[PrecisionReal], Scalar],
+    lo: Scalar,
+    hi: Scalar,
+    steps: int,
+    from_right: bool = False,
+) -> Iterator[Bracket]:
+    """The sign-change subintervals of a uniform grid, found lazily.
+
+    Yields them in increasing order, or in decreasing order when from_right.
+    f is evaluated at a grid point only when a subinterval being examined
+    needs it, and at most once.  Points where f raises InvalidPoint, returns
+    None, or returns NaN are invalid; subintervals touching them are
+    skipped, as are exact zeros.
+    """
+    lo = _as_real(lo)
+    hi = _as_real(hi)
+    if not lo < hi:
+        raise ValueError("scan requires lo < hi")
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
+    bits = max(lo.precision_bits, hi.precision_bits)
+    span = hi - lo
+    grid: Dict[int, Tuple[PrecisionReal, Optional[int]]] = {}
+
+    def point(i: int) -> Tuple[PrecisionReal, Optional[int]]:
+        """(x_i, sign of f at x_i), None for an invalid point."""
+        if i not in grid:
+            x = hi if i == steps else lo + span * PrecisionReal(i, bits) / steps
+            try:
+                v = f(x)
+            except InvalidPoint:
+                v = None
+            if v is not None:
+                v = _as_real(v, bits)
+            grid[i] = (x, None if v is None or v.is_nan else v.sign())
+        return grid[i]
+
+    for i in range(steps - 1, -1, -1) if from_right else range(steps):
+        (x_a, a), (x_b, b) = point(i), point(i + 1)
+        if a is None or b is None or (a == 0 and b == 0):
+            continue
+        if a == 0:
+            # grid point is itself a root; unless the previous cell already
+            # certified it, emit a bracket whose refinement returns it
+            if i > 0 and point(i - 1)[1] not in (None, 0):
+                continue
+            yield Bracket(x_a, x_b, -b, b)
+        elif b == 0:
+            yield Bracket(x_a, x_b, a, -a)
+        elif a != b:
+            yield Bracket(x_a, x_b, a, b)
+
+
 def scan_brackets(
     f: Callable[[PrecisionReal], Scalar],
     lo: Scalar,
@@ -477,49 +531,7 @@ def scan_brackets(
     Points where f raises InvalidPoint, returns None, or returns NaN are
     invalid; subintervals touching them are skipped, as are exact zeros.
     """
-    lo = _as_real(lo)
-    hi = _as_real(hi)
-    if not lo < hi:
-        raise ValueError("scan requires lo < hi")
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    bits = max(lo.precision_bits, hi.precision_bits)
-    span = hi - lo
-
-    points: List[PrecisionReal] = []
-    signs: List[Optional[int]] = []
-    for i in range(steps + 1):
-        x = hi if i == steps else lo + span * PrecisionReal(i, bits) / steps
-        try:
-            v = f(x)
-        except InvalidPoint:
-            points.append(x)
-            signs.append(None)
-            continue
-        if v is None:
-            points.append(x)
-            signs.append(None)
-            continue
-        v = _as_real(v, bits)
-        points.append(x)
-        signs.append(None if v.is_nan else v.sign())
-
-    found = []
-    for i in range(steps):
-        a, b = signs[i], signs[i + 1]
-        if a is None or b is None or (a == 0 and b == 0):
-            continue
-        if a == 0:
-            # grid point is itself a root; unless the previous cell already
-            # certified it, emit a bracket whose refinement returns it
-            if i > 0 and signs[i - 1] not in (None, 0):
-                continue
-            found.append(Bracket(points[i], points[i + 1], -b, b))
-        elif b == 0:
-            found.append(Bracket(points[i], points[i + 1], a, -a))
-        elif a != b:
-            found.append(Bracket(points[i], points[i + 1], a, b))
-    return found
+    return list(_sign_changes(f, lo, hi, steps))
 
 
 def scan_for_bracket(
@@ -528,8 +540,11 @@ def scan_for_bracket(
     hi: Scalar,
     steps: int,
 ) -> Bracket:
-    """First sign-change subinterval on the grid; NoSignChange if none."""
-    found = scan_brackets(f, lo, hi, steps)
-    if not found:
+    """First sign-change subinterval on the grid; NoSignChange if none.
+
+    The grid is scanned from the left and stops at the first sign change.
+    """
+    found = next(_sign_changes(f, lo, hi, steps), None)
+    if found is None:
         raise NoSignChange(f"no sign change in [{float(_as_real(lo))}, {float(_as_real(hi))}]")
-    return found[0]
+    return found

@@ -13,11 +13,10 @@ from mpmath.libmp import (
     mpf_cmp,
     mpf_mul,
     mpf_sub,
-    round_nearest,
     to_int,
 )
 
-from ..numerics import DEFAULT_PRECISION_BITS, PrecisionReal, Scalar, log
+from ..numerics import DEFAULT_PRECISION_BITS, RND, PrecisionReal, Scalar, log
 
 __all__ = [
     "PgnError",
@@ -30,8 +29,6 @@ __all__ = [
     "enumerate_candidates",
     "minimal_points",
 ]
-
-RND = round_nearest
 
 
 class PgnError(Exception):

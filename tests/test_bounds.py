@@ -378,11 +378,13 @@ class TestRegularGraphLambdaBound:
         assert bd.regular_graph_lambda_bound(8) < PR("0.2")
 
     def test_defining_equation_residual(self):
-        n = 4
-        a = bd.regular_graph_lambda_bound(n)
-        b0 = bd.beta_for_equality(n, a)
-        resid = abs(b0 ** (n - 1) / a**n - bd.mu(n).mu)
-        assert resid < PR("1e-20")
+        # the closed form against the nested definition: beta_for_equality
+        # is the oracle for the zero-defect partner of the returned alpha
+        for n in (4, 6, 8, 10, 12, 200):
+            a = bd.regular_graph_lambda_bound(n)
+            b0 = bd.beta_for_equality(n, a, tol="1e-60")
+            resid = abs(b0 ** (n - 1) / a**n - bd.mu(n).mu)
+            assert resid < PR("1e-20"), n
 
     def test_domain(self):
         with pytest.raises(bd.DomainError):
@@ -530,3 +532,18 @@ class TestConstantsReport:
         rep = bd.constants_report(2)
         assert rep.tau_n is not None and rep.sigma_n is None
         assert rep.regular_graph_bound is None
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_mu_and_tau_solved_once(self, n, monkeypatch):
+        calls = {"mu": 0, "tau": 0, "beta_for_equality": 0}
+        for name in calls:
+            original = getattr(bd, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(bd, name, counted)
+        rep = bd.constants_report(n)
+        assert calls == {"mu": 1, "tau": 1, "beta_for_equality": 0}
+        assert rep.sigma_n is not None and rep.regular_graph_bound is not None

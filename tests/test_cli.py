@@ -56,10 +56,23 @@ class TestBoundsCommand:
         assert cells[1] == "n/a" and cells[2] == "n/a"
         assert cells[7] == "0.5"  # the 2/(n+1) bound
 
-    def test_thread_invariance(self):
-        _, a = run_cli("bounds", "--n", "4..8", "--even", "--format", "json", "--threads", "1")
-        _, b = run_cli("bounds", "--n", "4..8", "--even", "--format", "json", "--threads", "3")
-        assert a == b
+    def test_low_precision_reaches_its_default_tol(self):
+        # without --tol, 64 bits solves to 2^-56, a width bisection can reach
+        code, low = run_cli("bounds", "--n", "4", "--precision-bits", "64")
+        assert code == 0
+        _, full = run_cli("bounds", "--n", "4")
+        assert low == full
+
+    def test_tol_is_passed_to_every_solve(self):
+        code, coarse = run_cli("bounds", "--n", "4", "--format", "json", "--tol", "1e-8")
+        assert code == 0
+        _, full = run_cli("bounds", "--n", "4", "--format", "json")
+        for c, f in zip(coarse.splitlines(), full.splitlines()):
+            c, f = json.loads(c), json.loads(f)
+            for key in ("theta", "tau", "sigma", "mu", "regular_graph_bound", "chi"):
+                if key in f:
+                    assert c[key] != f[key]
+                    assert abs(float(c[key]) - float(f[key])) < 1e-7 * abs(float(f[key]))
 
     def test_bad_range_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -94,6 +107,11 @@ class TestTheoremNewCommand:
         code, out = run_cli("theorem-new", "--n", "4", "--alpha", "0.6", "--beta", "0.5")
         assert code == 3
         assert json.loads(out)["error"] == "DomainError"
+
+    def test_csv_format_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("theorem-new", "--n", "5", "--alpha", "0.2", "--beta", "0.2", "--format", "csv")
+        assert exc.value.code == 2
 
 
 class TestSimulateCommand:

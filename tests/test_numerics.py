@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from dioph.numerics import (
@@ -8,6 +10,7 @@ from dioph.numerics import (
     NoConvergence,
     NoSignChange,
     PrecisionReal,
+    _sign_changes,
     e_value,
     exp,
     find_root,
@@ -202,3 +205,47 @@ class TestScan:
         assert found
         root = find_root(f, found[0], "1e-30")
         assert float(f(root)) == 0.0
+
+
+def eager_scan(values):
+    """Oracle: every sign-change cell of the grid 0, 1, ..., len(values) - 1,
+    with every point evaluated first (None marks an invalid point)."""
+    signs = [None if v in ("raise", None) or v != v else (v > 0) - (v < 0) for v in values]
+    found = []
+    for i in range(len(values) - 1):
+        a, b = signs[i], signs[i + 1]
+        if a is None or b is None or (a == 0 and b == 0):
+            continue
+        if a == 0:
+            if i > 0 and signs[i - 1] not in (None, 0):
+                continue  # the previous cell already certified this root
+            found.append((i, i + 1, -b, b))
+        elif b == 0:
+            found.append((i, i + 1, a, -a))
+        elif a != b:
+            found.append((i, i + 1, a, b))
+    return found
+
+
+# grid values: a sign, an exact zero, or one of the three invalid kinds
+GRID_VALUES = st.sampled_from([-1, 1, 0, "raise", None, float("nan")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(GRID_VALUES, min_size=3, max_size=13))
+def test_lazy_scan_matches_the_full_scan_from_either_side(values):
+    steps = len(values) - 1
+
+    def f(x):
+        v = values[int(x)]  # the grid on [0, steps] is exactly 0, 1, ..., steps
+        if v == "raise":
+            raise InvalidPoint("marked invalid")
+        return v
+
+    found = scan_brackets(f, 0, steps, steps)
+    assert [(int(b.lo), int(b.hi), b.f_lo_sign, b.f_hi_sign) for b in found] == eager_scan(values)
+    assert list(_sign_changes(f, 0, steps, steps, from_right=True)) == found[::-1]
+    first_left = next(_sign_changes(f, 0, steps, steps), None)
+    first_right = next(_sign_changes(f, 0, steps, steps, from_right=True), None)
+    assert first_left == (found[0] if found else None)
+    assert first_right == (found[-1] if found else None)
