@@ -44,7 +44,6 @@ from .numerics import (
     InvalidBracket,
     InvalidPoint,
     NoConvergence,
-    NoSignChange,
     NumericsError,
     PrecisionReal,
     e_value,
@@ -56,7 +55,6 @@ from .numerics import (
     log,
     pi_value,
     scan_brackets,
-    scan_for_bracket,
     sqrt,
     sqrt2_value,
 )

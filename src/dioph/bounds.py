@@ -18,15 +18,12 @@ from .numerics import (
     DEFAULT_TOL,
     Bracket,
     InvalidPoint,
-    NoSignChange,
     PrecisionReal,
     Scalar,
     _as_real,
-    _sign_changes,
     e_value,
     exp,
     find_root,
-    scan_for_bracket,
     sqrt,
 )
 
@@ -164,6 +161,13 @@ def mm_defect(
 ) -> BoundContext:
     """Defect epsilon of the sharp exponent inequality plus derived quantities.
 
+    The sharp inequality is Marnat and Moshchevitin's optimal lower bound
+    for the ordinary exponent in terms of the uniform one (Mathematika,
+    2020): a point of R^n with uniform simultaneous exponent alpha and
+    ordinary exponent beta has
+    epsilon = 1 - sum_{j=1}^{n} alpha^j / beta^(j-1) >= 0, with equality
+    on the regular graphs.
+
     beta may be +inf, in which case epsilon reduces to 1 - alpha and the
     derived envelope quantities take their limit values.
     """
@@ -263,7 +267,20 @@ def beta_for_equality(
     precision_bits: Optional[int] = None,
     tol: Scalar = DEFAULT_TOL,
 ) -> PrecisionReal:
-    """The unique beta >= alpha with zero defect, certified by bisection."""
+    """The unique beta >= alpha with zero defect, certified by bisection.
+
+    The defect increases with beta.  It is 1 - n alpha < 0 at beta = alpha,
+    and at beta = 2 alpha / (1 - alpha), where alpha/beta = (1 - alpha)/2,
+    it exceeds 1 - alpha / (1 - alpha/beta) = (1 - alpha)/(1 + alpha) > 0.
+    (At alpha / (1 - alpha) the defect is (1 - alpha)^n, which rounds to
+    zero at 64 bits already for n = 30, alpha = 0.8.)
+
+    The result is the midpoint of the final bracket, so its defect may be
+    negative at the tol level: at the default 1e-30, n = 4 and
+    alpha = 0.8125 give epsilon = -1.36e-32.  ``hypothesis_satisfied``
+    counts that as zero (within 1e-20); a caller that needs epsilon >= 0
+    must solve at a tighter tol.
+    """
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
     bits = _resolve_bits(precision_bits, alpha)
@@ -280,14 +297,7 @@ def beta_for_equality(
         raise DomainError("alpha below 1/n: no zero-defect beta with beta >= alpha")
 
     f = lambda b: _epsilon_value(n, a, b)
-    hi = 2 * a
-    for _ in range(1100):
-        if f(hi).sign() > 0:
-            break
-        hi = 2 * hi
-    else:
-        raise NoRoot("no sign change while expanding the beta bracket")
-    return find_root(f, Bracket(a, hi, -1, 1), tol)
+    return find_root(f, Bracket(a, 2 * a / (1 - a), -1, 1), tol)
 
 
 # -- even-n constants ---------------------------------------------------------
@@ -336,33 +346,23 @@ def mu(
 ) -> MuValue:
     """(w(n), mu_n) with mu_n = max(2n-2, w(n)).
 
-    w(n) solves (n-1)w/(w-n) - w + 1 = ((n-1)/(w-n))^n strictly inside
-    (n, 2n-1): the displayed expression has a pole at w = n and an exact
-    trivial root at w = 2n-1, so the scan starts at n(1 + 2^-20) and stops
-    short of the right endpoint.
+    w(n) solves F(w) = (n-1)w/(w-n) - w + 1 - ((n-1)/(w-n))^n = 0 strictly
+    inside (n, 2n-1); F has a pole at w = n and the trivial root w = 2n-1.
+    In u = (w-n)/(n-1) the pole goes away: F(w) u^n is
+
+        h(u) = n u^(n-1) - (n-1) u^(n+1) - 1,
+
+    increasing on (0, sqrt(n/(n+1))), with h(0) = -1 and h(n/(n+1)) > 0
+    (smallest at n = 2, where it is 1/27), so (0, n/(n+1)) brackets the
+    root and stays clear of the trivial one at u = 1.
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError("n must be an integer >= 2")
     bits = precision_bits or DEFAULT_PRECISION_BITS
-    nn = PrecisionReal(n, bits)
-    right = PrecisionReal(2 * n - 1, bits)
-
-    def F(w: PrecisionReal) -> PrecisionReal:
-        d = w - nn
-        return (n - 1) * w / d - w + 1 - ((n - 1) / d) ** n
-
-    lo = nn + nn / (1 << 20)
-    hi = right - right / (1 << 24)
-    bracket = None
-    for steps in (512, 4096):
-        try:
-            bracket = scan_for_bracket(F, lo, hi, steps)
-            break
-        except NoSignChange:
-            continue
-    if bracket is None:
-        raise NoRoot(f"no certified sign change for w({n}) in ({n}, {2*n-1})")
-    w = find_root(F, bracket, tol)
+    h = lambda u: n * u ** (n - 1) - (n - 1) * u ** (n + 1) - 1
+    right = PrecisionReal(n, bits) / (n + 1)
+    u = find_root(h, Bracket(PrecisionReal(0, bits), right, -1, 1), tol)
+    w = n + (n - 1) * u
     floor = PrecisionReal(2 * n - 2, bits)
     return MuValue(w, w if w > floor else floor)
 
@@ -387,9 +387,9 @@ def sigma(
     """Root of the implicit equation W_alpha = mu_n at beta = 2/n, even n >= 4.
 
     W_alpha is the uniform dual lower bound built from the defect at
-    beta = 2/n.  The scan covers (1/n, tau_n], skips invalid points (where
-    the envelope quantities leave their admissible range) and takes the
-    certified sign change nearest tau_n; the refinement never exits it.
+    beta = 2/n; it is undefined (an invalid point) where the envelope
+    quantities leave their admissible range.  The root lies in (1/n, tau_n)
+    and is bracketed from tau_n by a dyadic walk (see ``_sigma``).
     """
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
@@ -402,21 +402,32 @@ def _sigma(
 ) -> PrecisionReal:
     """sigma(n) from mu_n and tau_n already in hand.
 
-    The grid is scanned from tau_n downward and stops at the first sign
-    change, which is the last one of the full left-to-right scan.
+    f is evaluated at tau_n - (tau_n - 1/n)/2^k for k = 1, 2, ... until the
+    point rounds to tau_n, skipping invalid points.  The first valid point
+    and tau_n bracket the root when f is negative there and positive at
+    tau_n; any other outcome is NoRoot.
     """
     beta = PrecisionReal(2, bits) / n
 
     def f(a: PrecisionReal) -> PrecisionReal:
-        if a.sign() <= 0:
-            raise InvalidPoint("alpha must be positive")
         return _what_lower_value(mm_defect(n, a, beta, bits)) - mu_n
 
-    lo = PrecisionReal(1, bits) / n
-    for steps in (600, 2400, 9600):
-        bracket = next(_sign_changes(f, lo, tau_n, steps, from_right=True), None)
-        if bracket is not None:
-            return find_root(f, bracket, tol)
+    def sign(a: PrecisionReal) -> Optional[int]:
+        try:
+            return f(a).sign()
+        except InvalidPoint:
+            return None
+
+    step = (tau_n - PrecisionReal(1, bits) / n) / 2
+    a = tau_n - step
+    while a < tau_n:
+        s = sign(a)
+        if s is not None:
+            if s < 0 and sign(tau_n) == 1:
+                return find_root(f, Bracket(a, tau_n, -1, 1), tol)
+            break
+        step = step / 2
+        a = tau_n - step
     raise NoRoot(f"no certified sign change for sigma({n}) below tau({n})")
 
 
@@ -556,6 +567,10 @@ def lefths_solve(
 
     The left side decreases to its minimum at t = n then increases; the
     branch t >= n is the one matching the dual exponent's 2n-scale regime.
+    The left side exceeds 1 + t, so at t = 2 rhs it exceeds the right side
+    by more than rhs + 1, and [n, 2 rhs] brackets the root.  (At t = rhs
+    the margin is only about n + 1, which rounds away once rhs nears
+    2^precision_bits.)
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
@@ -571,14 +586,7 @@ def lefths_solve(
     t0 = PrecisionReal(n, bits)
     if f(t0).sign() >= 0:
         return t0  # right side at (or numerically at) the minimum
-    hi = 2 * t0
-    for _ in range(500):
-        if f(hi).sign() > 0:
-            break
-        hi = 2 * hi
-    else:
-        raise NoRoot("no sign change above the branch point")
-    return find_root(f, Bracket(t0, hi, -1, 1), tol)
+    return find_root(f, Bracket(t0, 2 * rhs, -1, 1), tol)
 
 
 def integer_approx_exponents(

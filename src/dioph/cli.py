@@ -42,7 +42,8 @@ from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["RunConfig", "main", "build_parser"]
 
-X_MAX_CAP = 10**6
+# candidate-pool cap, xmax * (2 widen + 1)^n: the pool at n = 1, widen 1, xmax 10^6
+POOL_CAP = 3 * 10**6
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -198,10 +199,14 @@ def _resolve_target(spec: str, n: Optional[int], bits: int) -> pgn.TargetPoint:
 
 def _cmd_simulate(args, config: RunConfig, out) -> int:
     bits = config.precision_bits
-    if args.xmax > X_MAX_CAP and not args.allow_huge:
-        raise ValueError(f"xmax exceeds the cap {X_MAX_CAP}; pass --allow-huge to override")
     target = _resolve_target(args.target, args.n, bits)
     n = target.n
+    pool_size = args.xmax * (2 * args.widen + 1) ** n
+    if pool_size > POOL_CAP and not args.allow_huge:
+        raise ValueError(
+            f"xmax * (2 widen + 1)^n = {pool_size} candidates exceeds the cap {POOL_CAP};"
+            " pass --allow-huge to override"
+        )
 
     pool = pgn.enumerate_candidates(target, args.xmax, widen=args.widen)
     seq = pgn.minimal_points(pool)
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None, help="envelope exponent for the record checker")
     p.add_argument("--beta", default=None, help="envelope exponent for the record checker")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--allow-huge", action="store_true", help="lift the xmax cap")
+    p.add_argument("--allow-huge", action="store_true", help="lift the candidate-pool cap")
     _add_format(p, ("json",))
     p.set_defaults(func=_cmd_simulate)
 

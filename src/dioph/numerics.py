@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Union
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -31,6 +31,7 @@ from mpmath.libmp import (
     mpf_div,
     mpf_e,
     mpf_exp,
+    mpf_hash,
     mpf_log,
     mpf_mul,
     mpf_neg,
@@ -52,10 +53,8 @@ __all__ = [
     "NumericsError",
     "InvalidBracket",
     "NoConvergence",
-    "NoSignChange",
     "InvalidPoint",
     "find_root",
-    "scan_for_bracket",
     "scan_brackets",
     "exp",
     "log",
@@ -84,10 +83,6 @@ class InvalidBracket(NumericsError):
 
 class NoConvergence(NumericsError):
     """The width target is unreachable at the working precision."""
-
-
-class NoSignChange(NumericsError):
-    """A grid scan found no sign change among its valid subintervals."""
 
 
 class InvalidPoint(NumericsError):
@@ -293,7 +288,8 @@ class PrecisionReal:
         return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
-        return hash(self.raw)
+        # the hash of the exact value, which equals that of an equal int or float
+        return mpf_hash(self.raw)
 
     def __bool__(self):
         return self.raw != fzero
@@ -466,20 +462,17 @@ def find_root(
     raise NoConvergence("iteration budget exhausted")
 
 
-def _sign_changes(
+def scan_brackets(
     f: Callable[[PrecisionReal], Scalar],
     lo: Scalar,
     hi: Scalar,
     steps: int,
-    from_right: bool = False,
-) -> Iterator[Bracket]:
-    """The sign-change subintervals of a uniform grid, found lazily.
+) -> List[Bracket]:
+    """All sign-change subintervals of a uniform grid, in increasing order.
 
-    Yields them in increasing order, or in decreasing order when from_right.
-    f is evaluated at a grid point only when a subinterval being examined
-    needs it, and at most once.  Points where f raises InvalidPoint, returns
-    None, or returns NaN are invalid; subintervals touching them are
-    skipped, as are exact zeros.
+    f is evaluated once at each grid point, from left to right.  Points
+    where f raises InvalidPoint, returns None, or returns NaN are invalid;
+    subintervals touching them are skipped, as are exact zeros.
     """
     lo = _as_real(lo)
     hi = _as_real(hi)
@@ -489,62 +482,30 @@ def _sign_changes(
         raise ValueError("steps must be >= 2")
     bits = max(lo.precision_bits, hi.precision_bits)
     span = hi - lo
-    grid: Dict[int, Tuple[PrecisionReal, Optional[int]]] = {}
+    xs = [lo + span * PrecisionReal(i, bits) / steps for i in range(steps)] + [hi]
+    signs: List[Optional[int]] = []
+    for x in xs:
+        try:
+            v = f(x)
+        except InvalidPoint:
+            v = None
+        if v is not None:
+            v = _as_real(v, bits)
+        signs.append(None if v is None or v.is_nan else v.sign())
 
-    def point(i: int) -> Tuple[PrecisionReal, Optional[int]]:
-        """(x_i, sign of f at x_i), None for an invalid point."""
-        if i not in grid:
-            x = hi if i == steps else lo + span * PrecisionReal(i, bits) / steps
-            try:
-                v = f(x)
-            except InvalidPoint:
-                v = None
-            if v is not None:
-                v = _as_real(v, bits)
-            grid[i] = (x, None if v is None or v.is_nan else v.sign())
-        return grid[i]
-
-    for i in range(steps - 1, -1, -1) if from_right else range(steps):
-        (x_a, a), (x_b, b) = point(i), point(i + 1)
+    found = []
+    for i in range(steps):
+        a, b = signs[i], signs[i + 1]
         if a is None or b is None or (a == 0 and b == 0):
             continue
         if a == 0:
             # grid point is itself a root; unless the previous cell already
             # certified it, emit a bracket whose refinement returns it
-            if i > 0 and point(i - 1)[1] not in (None, 0):
+            if i > 0 and signs[i - 1] not in (None, 0):
                 continue
-            yield Bracket(x_a, x_b, -b, b)
+            found.append(Bracket(xs[i], xs[i + 1], -b, b))
         elif b == 0:
-            yield Bracket(x_a, x_b, a, -a)
+            found.append(Bracket(xs[i], xs[i + 1], a, -a))
         elif a != b:
-            yield Bracket(x_a, x_b, a, b)
-
-
-def scan_brackets(
-    f: Callable[[PrecisionReal], Scalar],
-    lo: Scalar,
-    hi: Scalar,
-    steps: int,
-) -> List[Bracket]:
-    """All sign-change subintervals of a uniform grid, in increasing order.
-
-    Points where f raises InvalidPoint, returns None, or returns NaN are
-    invalid; subintervals touching them are skipped, as are exact zeros.
-    """
-    return list(_sign_changes(f, lo, hi, steps))
-
-
-def scan_for_bracket(
-    f: Callable[[PrecisionReal], Scalar],
-    lo: Scalar,
-    hi: Scalar,
-    steps: int,
-) -> Bracket:
-    """First sign-change subinterval on the grid; NoSignChange if none.
-
-    The grid is scanned from the left and stops at the first sign change.
-    """
-    found = next(_sign_changes(f, lo, hi, steps), None)
-    if found is None:
-        raise NoSignChange(f"no sign change in [{float(_as_real(lo))}, {float(_as_real(hi))}]")
+            found.append(Bracket(xs[i], xs[i + 1], a, b))
     return found

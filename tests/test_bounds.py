@@ -1,3 +1,6 @@
+from fractions import Fraction
+from unittest.mock import patch
+
 import pytest
 from mpmath import mp, mpf
 
@@ -12,6 +15,13 @@ from dioph.numerics import (
 )
 
 PR = PrecisionReal
+
+
+def as_fraction(x: PR) -> Fraction:
+    """The exact binary value of x."""
+    sign, man, exp, _ = x.raw
+    v = Fraction(man) * Fraction(2) ** exp
+    return -v if sign else v
 
 
 def term_sum_epsilon(n: int, alpha: str, beta: str, prec: int = 512) -> mpf:
@@ -295,6 +305,22 @@ class TestMu:
             w, _ = bd.mu(n)
             assert PR(n) < w < PR(2 * n - 1)
 
+    @pytest.mark.parametrize("n", list(range(2, 31)) + [200])
+    def test_exact_sign_change_of_the_source_equation(self, n):
+        # F(w) = (n-1)w/(w-n) - w + 1 - ((n-1)/(w-n))^n in exact rationals
+        def F(w):
+            d = w - n
+            return (n - 1) * w / d - w + 1 - Fraction(n - 1) ** n / d**n
+
+        w = as_fraction(bd.mu(n).w_aux)
+        off = Fraction(1, 10**25)
+        assert F(w * (1 - off)) < 0 < F(w * (1 + off))
+
+    def test_one_find_root_call(self):
+        with patch.object(bd, "find_root", wraps=bd.find_root) as spy:
+            bd.mu(12)
+        assert spy.call_count == 1
+
 
 SIGMA_TRUE = {
     4: "0.3706295114600989549892190475523297514071",
@@ -319,6 +345,20 @@ class TestSigma:
         mu_n = bd.mu(n).mu
         w = bd._what_lower_value(bd.mm_defect(n, s, PR(2) / n))
         assert abs(w - mu_n) < PR("1e-20")
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_large_n_root_certified_at_512_bits(self, n):
+        s = bd.sigma(n)
+        assert PR(2) / (n + 2) < s < bd.tau(n)
+        mu_n = bd.mu(n, 512).mu
+        beta = PR(2, 512) / n
+
+        def f(a):
+            return bd._what_lower_value(bd.mm_defect(n, a, beta, 512)) - mu_n
+
+        off = PR("1e-25", 512)
+        s = PR(s, 512)
+        assert f(s * (1 - off)).sign() < 0 < f(s * (1 + off)).sign()
 
     def test_scan_example_bracket_near_sigma4(self):
         # scanning the implicit-equation defect over (0, 1) locates sigma_4

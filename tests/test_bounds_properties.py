@@ -1,5 +1,7 @@
 """Property-based invariants for the bound computations."""
 
+from unittest.mock import patch
+
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -105,6 +107,56 @@ def test_lefths_root_on_increasing_branch_with_zero_residual(n, om):
     resid = abs((1 + root) * (1 + 1 / root) ** n - rhs)
     scale = rhs if rhs > 1 else PR(1)
     assert resid / scale < PR("1e-25")
+
+
+def solved_bracket(solve):
+    """Run solve() and return its result with the (f, bracket) of its one
+    find_root call, or None when it returned without one."""
+    with patch.object(bd, "find_root", wraps=bd.find_root) as spy:
+        result = solve()
+    assert spy.call_count <= 1
+    return result, (spy.call_args.args[:2] if spy.call_count else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=200),
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
+    bits=st.sampled_from([64, 128, 256]),
+)
+# alpha = 0.8 and 0.602: the defect (1 - alpha)^n at beta = alpha/(1 - alpha) rounds to 0
+@example(n=30, frac=0.7931034482758621, bits=64)
+@example(n=200, frac=0.6, bits=256)
+def test_beta0_bracket_has_certified_endpoint_signs(n, frac, bits):
+    alpha = PR(1, bits) / n + (1 - PR(1, bits) / n) * PR(frac, bits)
+    assume(n * alpha >= 1)  # 1/n may round down
+    tol = PR(2, bits) ** (8 - bits)
+    beta, solved = solved_bracket(lambda: bd.beta_for_equality(n, alpha, bits, tol))
+    if solved is None:
+        assert beta == alpha  # alpha = 1/n exactly
+        return
+    f, br = solved
+    assert f(br.lo).sign() < 0 < f(br.hi).sign()
+    assert br.lo <= beta <= br.hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    om=st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
+    bits=st.sampled_from([64, 128, 256]),
+)
+@example(n=50, om=10.0, bits=64)  # rhs ~ 1e52: the margin ~ n + 1 at t = rhs rounds away
+def test_lefths_bracket_has_certified_endpoint_signs(n, om, bits):
+    tol = PR(2, bits) ** (8 - bits)
+    root, solved = solved_bracket(lambda: bd.lefths_solve(n, PR(om, bits), bits, tol))
+    if solved is None:
+        assert root == n  # the right side is at the branch point's minimum
+        return
+    f, br = solved
+    assert br.lo == n
+    assert f(br.lo).sign() < 0 < f(br.hi).sign()
+    assert br.lo <= root <= br.hi
 
 
 @settings(max_examples=40, deadline=None)

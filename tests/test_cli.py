@@ -157,6 +157,19 @@ class TestSimulateCommand:
             )
         assert exc.value.code == 2
 
+    def test_pool_size_cap(self, tmp_path, monkeypatch):
+        # 10^6 * 5^3 = 1.25e8 candidates; the cap must act before enumerating
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated a pool beyond the cap")
+
+        monkeypatch.setattr("dioph.pgn.enumerate_candidates", refuse)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "simulate", "--target", "veronese:e", "--n", "3", "--widen", "2",
+                "--xmax", "1000000", "--out", str(tmp_path),
+            )
+        assert exc.value.code == 2
+
     def test_qmax_and_window_flags(self, tmp_path):
         code, out = run_cli(
             "simulate", "--target", "veronese:pi", "--n", "1",
