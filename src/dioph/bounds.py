@@ -389,7 +389,8 @@ def sigma(
     W_alpha is the uniform dual lower bound built from the defect at
     beta = 2/n; it is undefined (an invalid point) where the envelope
     quantities leave their admissible range.  The root lies in (1/n, tau_n)
-    and is bracketed from tau_n by a dyadic walk (see ``_sigma``).
+    and is bracketed from tau_n by a dyadic walk (see ``_sigma``); a tol too
+    coarse to separate tau_n from sigma_n is a ValueError.
     """
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
@@ -402,10 +403,12 @@ def _sigma(
 ) -> PrecisionReal:
     """sigma(n) from mu_n and tau_n already in hand.
 
-    f is evaluated at tau_n - (tau_n - 1/n)/2^k for k = 1, 2, ... until the
-    point rounds to tau_n, skipping invalid points.  The first valid point
-    and tau_n bracket the root when f is negative there and positive at
-    tau_n; any other outcome is NoRoot.
+    f is positive at the exact tau_n.  A tau_n solved so coarsely that f is
+    not positive there does not lie above sigma_n: that tol is a ValueError.
+    Otherwise f is evaluated at tau_n - (tau_n - 1/n)/2^k for k = 1, 2, ...
+    until the point rounds to tau_n, skipping invalid points.  The first
+    valid point and tau_n bracket the root when f is negative there; any
+    other outcome is NoRoot.
     """
     beta = PrecisionReal(2, bits) / n
 
@@ -418,12 +421,17 @@ def _sigma(
         except InvalidPoint:
             return None
 
+    if sign(tau_n) != 1:
+        raise ValueError(
+            f"tol is too coarse to separate tau({n}) from sigma({n}):"
+            f" f is not positive at the solved tau({n}); use a finer tol"
+        )
     step = (tau_n - PrecisionReal(1, bits) / n) / 2
     a = tau_n - step
     while a < tau_n:
         s = sign(a)
         if s is not None:
-            if s < 0 and sign(tau_n) == 1:
+            if s < 0:
                 return find_root(f, Bracket(a, tau_n, -1, 1), tol)
             break
         step = step / 2

@@ -71,17 +71,19 @@ def profile(
 ) -> List[ProfileSample]:
     """Exact min-max profile over the pool at each grid parameter.
 
-    A vectorized float pre-pass selects a candidate prefix per q; the
-    selection is then redone in exact arithmetic and certified against the
-    smallest excluded float value, growing the prefix when inconclusive.
+    A vectorized float pre-pass selects a candidate prefix per q; its
+    doubles come from the integers (`ApproxVector.float_logs`), so no
+    256-bit log runs per candidate.  The selection is then redone in exact
+    arithmetic, taking exact logs only for prefix members, and certified
+    against the smallest excluded float value, growing the prefix when
+    inconclusive.
     The result upper-bounds the true lattice profile when the pool is
     incomplete and is exact for the pool itself.
     """
     pool = list(candidates)
     if len(pool) < n + 1:
         raise InsufficientRank(f"need at least {n + 1} candidates, have {len(pool)}")
-    lx = np.array([float(v.log_x) for v in pool])
-    ly = np.array([float(v.log_Y) for v in pool])
+    lx, ly = (np.array(col) for col in zip(*(v.float_logs() for v in pool)))
 
     samples: List[ProfileSample] = []
     prev: Optional[PrecisionReal] = None
@@ -96,12 +98,14 @@ def profile(
         size = min(prefix_size, len(pool))
         while True:
             if size >= len(pool):
-                prefix = range(len(pool))
+                prefix = np.arange(len(pool))
                 cutoff = None
             else:
                 part = np.argpartition(vals, size)
-                prefix = part[:size].tolist()
+                prefix = part[:size]
                 cutoff = float(vals[part[size]])
+            # in float order the exact sort below is nearly a single pass
+            prefix = prefix[np.argsort(vals[prefix], kind="stable")].tolist()
 
             entries = sorted(
                 (vector_L(pool[i], q, n), pool[i].x, pool[i].y, i) for i in prefix

@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from mpmath.libmp import (
-    from_int,
-    fzero,
-    mpf_abs,
-    mpf_cmp,
-    mpf_mul,
-    mpf_sub,
-    to_int,
-)
+from mpmath.libmp import from_man_exp, mpf_cmp
 
 from ..numerics import DEFAULT_PRECISION_BITS, RND, PrecisionReal, Scalar, log
 
@@ -29,6 +24,8 @@ __all__ = [
     "enumerate_candidates",
     "minimal_points",
 ]
+
+_LOG2 = math.log(2)
 
 
 class PgnError(Exception):
@@ -88,6 +85,16 @@ class TargetPoint:
             raise ValueError("at least one coordinate required")
         return cls(n=len(vals), coords=vals, source="explicit", precision_bits=bits)
 
+    def scaled(self) -> Tuple[Tuple[int, ...], int]:
+        """(X, E) with xi_i = X_i / 2^E exactly for every coordinate, E >= 0.
+
+        The coordinates are p-bit binary floats, so over a common exponent
+        each approximation error x xi_i - y_i = (x X_i - y_i 2^E) / 2^E has an
+        exact integer numerator."""
+        raws = [c.raw for c in self.coords]
+        E = max(0, *(-exp for _, _, exp, _ in raws))
+        return tuple((-man if sign else man) << (exp + E) for sign, man, exp, _ in raws), E
+
 
 class ApproxVector:
     """Integer vector (x, y_1..y_n) with its approximation error Y.
@@ -108,7 +115,7 @@ class ApproxVector:
         log_Y: Optional[PrecisionReal] = None,
     ):
         self.x = int(x)
-        self.y = tuple(int(v) for v in y)
+        self.y = tuple(map(int, y))
         self.Y = Y
         self.precision_bits = precision_bits
         self._log_x = log_x
@@ -116,18 +123,14 @@ class ApproxVector:
 
     @classmethod
     def from_target(cls, target: TargetPoint, x: int, y: Sequence[int]) -> "ApproxVector":
-        """Compute Y = max_i |x xi_i - y_i| at the target's precision."""
+        """Compute Y = max_i |x xi_i - y_i|, exact up to one rounding to the
+        target's precision."""
         p = target.precision_bits
-        xr = from_int(int(x))
-        best = None
-        for c, yi in zip(target.coords, y):
-            comp = mpf_abs(mpf_sub(mpf_mul(xr, c.raw, p, RND), from_int(int(yi)), p, RND))
-            if best is None or mpf_cmp(comp, best) > 0:
-                best = comp
-        v = cls(x, y, PrecisionReal._make(best, p), p)
-        if v.Y.raw == fzero:
-            raise RationalDependence(f"zero approximation error at {v.ints()}")
-        return v
+        X, E = target.scaled()
+        D = max(abs(int(x) * Xi - (int(yi) << E)) for Xi, yi in zip(X, y))
+        if D == 0:
+            raise RationalDependence(f"zero approximation error at {(x, *y)}")
+        return cls(x, y, PrecisionReal._make(from_man_exp(D, -E, p, RND), p), p)
 
     def ints(self) -> Tuple[int, ...]:
         """The full integer vector (x, y_1, ..., y_n)."""
@@ -147,6 +150,23 @@ class ApproxVector:
         if self._log_Y is None:
             self._log_Y = log(self.Y)
         return self._log_Y
+
+    def float_logs(self) -> Tuple[float, float]:
+        """(log x, log Y) as doubles, within about 1e-14 of the exact logs.
+
+        Taken from the integers, log Y = log(man / 2^bc) + (exp + bc) log 2,
+        so no 256-bit log runs; an exact log already present (computed or
+        injected) is used instead, so the doubles always track the values
+        that `log_x` and `log_Y` return.
+        """
+        if self._log_x is not None:
+            lx = float(self._log_x)
+        else:
+            lx = math.log(self.x) if self.x else -math.inf
+        if self._log_Y is not None:
+            return lx, float(self._log_Y)
+        _, man, exp, bc = self.Y.raw
+        return lx, math.log(math.ldexp(man, -bc)) + (exp + bc) * _LOG2
 
     def __repr__(self) -> str:
         return f"ApproxVector(x={self.x}, y={self.y}, Y={float(self.Y):.6g})"
@@ -173,70 +193,59 @@ def enumerate_candidates(target: TargetPoint, x_max: int, widen: int = 0) -> Lis
     around it, together with the n+1 unit-type support vectors; deduplicated
     and ordered by (x, y).
 
-    Raises RationalDependence as soon as any error computes to exactly zero.
+    Every error is an exact integer over 2^E (see `TargetPoint.scaled`),
+    rounded once to the working precision; the nearest integer rounds ties
+    to even.  Raises RationalDependence as soon as any error is exactly zero.
     """
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
     if widen < 0:
         raise ValueError("widen must be >= 0")
     n, p = target.n, target.precision_bits
-    xi_raw = [c.raw for c in target.coords]
-    offsets = list(product(range(-widen, widen + 1), repeat=n))
+    X, E = target.scaled()
+    one = 1 << E
+    steps = range(-widen, widen + 1)
 
     out: List[ApproxVector] = []
-    seen = set()
-
-    def push(x: int, y: Tuple[int, ...], y_raw) -> None:
-        key = (x, y)
-        if key in seen:
-            return
-        seen.add(key)
-        if y_raw == fzero:
-            raise RationalDependence(f"zero approximation error at {(x, *y)}")
-        out.append(ApproxVector(x, y, PrecisionReal._make(y_raw, p), p))
-
-    # unit-type support vectors: (1, 0, ..., 0) and (0, e_i)
-    first_err = None
-    for c in xi_raw:
-        a = mpf_abs(c)
-        if first_err is None or mpf_cmp(a, first_err) > 0:
-            first_err = a
-    push(1, (0,) * n, first_err)
-    one_raw = from_int(1)
-    for i in range(n):
-        e_i = tuple(1 if j == i else 0 for j in range(n))
-        push(0, e_i, one_raw)
-
     for x in range(1, x_max + 1):
-        xr = from_int(x)
-        prods = [mpf_mul(xr, c, p, RND) for c in xi_raw]
-        base = [int(to_int(pr, RND)) for pr in prods]
-        diffs = [mpf_sub(pr, from_int(b), p, RND) for pr, b in zip(prods, base)]
-        for off in offsets:
-            y = tuple(b + o for b, o in zip(base, off))
-            worst = None
-            for d, o in zip(diffs, off):
-                comp = mpf_abs(mpf_sub(d, from_int(o), p, RND) if o else d)
-                if worst is None or mpf_cmp(comp, worst) > 0:
-                    worst = comp
-            push(x, y, worst)
+        ys, errs = [], []
+        for Xi in X:
+            # D = x X_i - base 2^E; the offset o moves it by -o 2^E
+            base, D = divmod(x * Xi, one)
+            if 2 * D > one or (2 * D == one and base & 1):
+                base, D = base + 1, D - one
+            ys.append([base + o for o in steps])
+            errs.append([abs(D - (o << E)) for o in steps])
+        for y, ds in zip(product(*ys), product(*errs)):
+            worst = max(ds)
+            if worst == 0:
+                raise RationalDependence(f"zero approximation error at {(x, *y)}")
+            out.append(ApproxVector(x, y, PrecisionReal._make(from_man_exp(worst, -E, p, RND), p), p))
 
-    out.sort(key=lambda v: (v.x, v.y))
-    return out
+    # unit-type support vectors: (0, e_i) first in (x, y) order, then
+    # (1, 0, ..., 0) unless the x = 1 box already holds it
+    key = attrgetter("x", "y")
+    origin = (0,) * n
+    at = bisect_left(out, (1, origin), key=key)
+    if at == len(out) or key(out[at]) != (1, origin):
+        out.insert(at, ApproxVector.from_target(target, 1, origin))
+    units = [tuple(int(j == i) for j in range(n)) for i in reversed(range(n))]
+    return [ApproxVector.from_target(target, 0, e) for e in units] + out
 
 
 def minimal_points(candidates: Iterable[ApproxVector]) -> MinimalPointSequence:
     """Record subsequence over the pool: scan by increasing x, keep strict
     improvements of the running minimum of Y.  Ties in x prefer smaller Y,
     then lexicographically smaller y."""
-    pool = [v for v in candidates if v.x >= 1]
+    pool = sorted((v for v in candidates if v.x >= 1), key=attrgetter("x", "y"))
     if not pool:
         raise InsufficientData("no candidates with positive x")
-    pool.sort(key=lambda v: (v.x, v.Y, v.y))
     records: List[ApproxVector] = []
-    best: Optional[PrecisionReal] = None
-    for v in pool:
-        if best is None or v.Y < best:
-            records.append(v)
-            best = v.Y
+    for _, group in groupby(pool, key=attrgetter("x")):
+        low = next(group)
+        for v in group:
+            if mpf_cmp(v.Y.raw, low.Y.raw) < 0:
+                low = v
+        if not records or mpf_cmp(low.Y.raw, records[-1].Y.raw) < 0:
+            records.append(low)
     return MinimalPointSequence(tuple(records))

@@ -360,6 +360,12 @@ class TestSigma:
         s = PR(s, 512)
         assert f(s * (1 - off)).sign() < 0 < f(s * (1 + off)).sign()
 
+    def test_tol_too_coarse_to_separate_from_tau(self):
+        # solved to tol 1e-3, tau(4) comes out 8e-5 relative below the root,
+        # which puts it under sigma(4)
+        with pytest.raises(ValueError, match="too coarse"):
+            bd.sigma(4, tol="1e-3")
+
     def test_scan_example_bracket_near_sigma4(self):
         # scanning the implicit-equation defect over (0, 1) locates sigma_4
         n = 4

@@ -1,7 +1,14 @@
-import pytest
+import math
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
+
+import dioph.numerics
 from dioph import pgn
-from dioph.numerics import PrecisionReal, e_value, golden_value, log as nlog
+from dioph.numerics import RND, PrecisionReal, e_value, golden_value, log as nlog
 from dioph.suites import exhaustive_minmax, thinned_pool
 
 PR = PrecisionReal
@@ -102,6 +109,27 @@ class TestProfile:
         for a, b in zip(small, full):
             assert a.L == b.L and a.witnesses == b.witnesses
 
+    def test_exact_logs_only_for_certified_prefixes(self, monkeypatch):
+        # the float pre-pass takes no 256-bit log; exact logs are taken only
+        # for records and prefix members
+        calls = 0
+        exact_log = dioph.numerics.log
+
+        def counted(v):
+            nonlocal calls
+            calls += 1
+            return exact_log(v)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dioph") and getattr(module, "log", None) is exact_log:
+                monkeypatch.setattr(module, "log", counted)
+        t = pgn.TargetPoint.veronese(e_value(), 2)
+        pool = pgn.enumerate_candidates(t, 10**4, widen=1)
+        seq = pgn.minimal_points(pool)
+        grid = pgn.build_q_grid(seq, 2, exact_log(PR(10**4)))
+        pgn.profile(pool, grid, 2)
+        assert calls < 0.05 * len(pool)
+
     def test_sorted_and_slope_bounds(self):
         t = pgn.TargetPoint.veronese(golden_value(), 1)
         pool = pgn.enumerate_candidates(t, 1000, widen=0)
@@ -140,6 +168,24 @@ class TestProfile:
                 continue
             sample = next(s for s in prof if s.q == qk)
             assert abs(sample.L[0] - val) < PR("1e-60")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.integers(0, 10**15),
+    man=st.integers(1, 2**256 - 1),
+    exp=st.integers(-600, 40),
+)
+def test_float_logs_within_slack_of_exact_logs(x, man, exp):
+    # the pre-pass doubles must stay far inside _FLOAT_SLACK of the exact logs
+    Y = PR._make(from_man_exp(man, exp, 256, RND), 256)
+    v = pgn.ApproxVector(x, (0,), Y, 256)
+    lx, ly = v.float_logs()
+    if x == 0:
+        assert lx == -math.inf
+    else:
+        assert abs(lx - float(v.log_x)) <= 1e-12
+    assert abs(ly - float(v.log_Y)) <= 1e-12
 
 
 class TestMinkowskiDefect:

@@ -1,10 +1,54 @@
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_int, from_rational, mpf_mul, to_int
 
 from dioph import pgn
-from dioph.numerics import PrecisionReal, e_value, golden_value, sqrt2_value
+from dioph.numerics import RND, PrecisionReal, e_value, golden_value, sqrt2_value
 from dioph.suites import box_enumerate, box_records
 
 PR = PrecisionReal
+
+# n = 1, 2, 3; the n = 2 point has a tie coordinate (x/2 is a half-integer
+# for odd x) and a negative one, the n = 3 point two negative coordinates
+ONE_ERROR_TARGETS = {
+    "golden n=1": lambda: pgn.TargetPoint.veronese(golden_value(), 1),
+    "0.5,-0.718 n=2": lambda: pgn.TargetPoint.explicit(["0.5", "-0.71828182845904523536"]),
+    "-e n=3": lambda: pgn.TargetPoint.veronese(-e_value(), 3),
+}
+
+
+def exact_error_raw(target, x, y):
+    """max_i |x xi_i - y_i| in rational arithmetic, rounded once to the
+    target's precision: the oracle for the pool's integer error formula."""
+    worst = Fraction(0)
+    for c, yi in zip(target.coords, y):
+        sign, man, exp, _ = c.raw
+        xi = Fraction((-1) ** sign * man) * Fraction(2) ** exp
+        worst = max(worst, abs(x * xi - yi))
+    return from_rational(worst.numerator, worst.denominator, target.precision_bits, RND)
+
+
+def float_rounded_base(target, x):
+    """The nearest-integer vector by float rounding: x xi_i rounded to the
+    working precision, then to the nearest integer with ties to even."""
+    p = target.precision_bits
+    return tuple(int(to_int(mpf_mul(from_int(x), c.raw, p, RND), RND)) for c in target.coords)
+
+
+def sorted_records(candidates):
+    """The record scan as one sort by (x, Y, y): the oracle for the
+    integer-keyed scan of minimal_points."""
+    pool = sorted((v for v in candidates if v.x >= 1), key=lambda v: (v.x, v.Y, v.y))
+    records, best = [], None
+    for v in pool:
+        if best is None or v.Y < best:
+            records.append(v)
+            best = v.Y
+    return records
 
 
 def fibs_up_to(limit):
@@ -43,6 +87,20 @@ class TestApproxVector:
         t = pgn.TargetPoint.explicit(["0.5"])
         with pytest.raises(pgn.RationalDependence):
             pgn.ApproxVector.from_target(t, 2, (1,))
+
+    @pytest.mark.parametrize("name", sorted(ONE_ERROR_TARGETS))
+    def test_one_error_formula(self, name):
+        # from_target and the pool share one exact-integer error rounded
+        # once; the rational oracle pins that rounding
+        t = ONE_ERROR_TARGETS[name]()
+        for v in pgn.enumerate_candidates(t, 200, widen=1):
+            assert pgn.ApproxVector.from_target(t, v.x, v.y).Y == v.Y
+            assert v.Y.raw == exact_error_raw(t, v.x, v.y)
+
+    def test_float_logs_without_exact_logs(self):
+        v = pgn.ApproxVector(0, (1, 0), PR(1), 256)
+        assert v.float_logs() == (float("-inf"), 0.0)
+        assert v._log_x is None and v._log_Y is None
 
     def test_unit_vector_logs(self):
         v = pgn.ApproxVector(0, (1, 0), PR(1), 256)
@@ -100,6 +158,17 @@ class TestEnumerateCandidates:
         with pytest.raises(ValueError):
             pgn.enumerate_candidates(t, 5, widen=-1)
 
+    @pytest.mark.parametrize("name", sorted(ONE_ERROR_TARGETS))
+    def test_rounded_vector_matches_float_rounding(self, name):
+        t = ONE_ERROR_TARGETS[name]()
+        by_x = {}
+        for v in pgn.enumerate_candidates(t, 200, widen=0):
+            by_x.setdefault(v.x, []).append(v.y)
+        for x in range(1, 201):
+            # x = 1 also holds the unit-type vector (1, 0, ..., 0)
+            assert float_rounded_base(t, x) in by_x[x]
+            assert len(by_x[x]) == 1 or x == 1
+
     def test_negative_coordinates(self):
         t = pgn.TargetPoint.explicit(["-0.71828182845904523536", "0.333333333333333314829"])
         pool = pgn.enumerate_candidates(t, 40, widen=1)
@@ -108,6 +177,22 @@ class TestEnumerateCandidates:
         assert all(a.x < b.x and b.Y < a.Y for a, b in zip(seq, seq.points[1:]))
         # rounded vector at x = 1 points at the nearest integers (-1, 0)
         assert any(v.x == 1 and v.y == (-1, 0) for v in pool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 31).filter(lambda k: k % 2),
+    m=st.integers(1, 5),
+    negative=st.booleans(),
+)
+def test_rounded_vector_ties_match_float_rounding(k, m, negative):
+    # xi_1 = +-k/2^m puts x xi_1 exactly on a half-integer for some x; the
+    # irrational xi_2 keeps every error nonzero
+    c = Fraction(-k if negative else k, 2 ** m)
+    t = pgn.TargetPoint.explicit([f"{float(c)!r}", "2.71828182845904523536"])
+    keys = {(v.x, v.y) for v in pgn.enumerate_candidates(t, 64, widen=0)}
+    for x in range(1, 65):
+        assert (x, float_rounded_base(t, x)) in keys
 
 
 class TestMinimalPoints:
@@ -148,6 +233,42 @@ class TestMinimalPoints:
         a = [v.ints() for v in pgn.minimal_points(pool)]
         b = [v.ints() for v in pgn.minimal_points(list(reversed(pool)))]
         assert a == b
+
+    def test_shuffled_pool_matches_sort_oracle(self):
+        t = pgn.TargetPoint.veronese(e_value(), 2)
+        pool = pgn.enumerate_candidates(t, 300, widen=1)
+        random.Random(5).shuffle(pool)
+        got = pgn.minimal_points(pool).points
+        assert [id(v) for v in got] == [id(v) for v in sorted_records(pool)]
+
+
+SYNTHETIC_Y = [PR(k) / 8 for k in range(1, 5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+            st.integers(0, len(SYNTHETIC_Y) - 1),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_record_scan_matches_sort_oracle(rows, seed):
+    # few x, y and Y values: same-x ties, equal Y with different y, and
+    # repeated (x, y) all occur; the oracle is the (x, Y, y) sort
+    pool = [pgn.ApproxVector(x, y, SYNTHETIC_Y[k], 256) for x, y, k in rows]
+    random.Random(seed).shuffle(pool)
+    if all(v.x == 0 for v in pool):
+        with pytest.raises(pgn.InsufficientData):
+            pgn.minimal_points(pool)
+        return
+    got = pgn.minimal_points(pool).points
+    assert [id(v) for v in got] == [id(v) for v in sorted_records(pool)]
 
 
 class TestIntRank:
