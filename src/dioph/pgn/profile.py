@@ -4,7 +4,9 @@ Each candidate induces the piecewise-linear function
 L_x(q) = max(log x - q, log Y + q/n) with slopes -1 and 1/n; the j-th
 profile value at q is the min-max over independent j-tuples, computed
 exactly by greedy selection in increasing L order (linear independence is
-a matroid, so the greedy selection realizes the min-max).
+a matroid, so the greedy selection realizes the min-max).  A vector with
+n + 1 independent vectors at or below it in both x and Y is never chosen,
+so the pool is pruned to the rest once and every q works on exact values.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
+from mpmath.libmp import mpf_cmp
 
 from ..numerics import PrecisionReal, Scalar
 from .intrank import IntBasis
@@ -27,10 +29,6 @@ __all__ = [
     "minkowski_defect",
     "build_q_grid",
 ]
-
-# covers float round-off of the log values in the candidate pre-sort
-_FLOAT_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class ProfileSample:
@@ -63,27 +61,50 @@ def crossing_q(rising: ApproxVector, falling: ApproxVector, n: int) -> Precision
     return n * (falling.log_x - rising.log_Y) / (n + 1)
 
 
+def _undominated(pool: Sequence[ApproxVector], n: int) -> List[int]:
+    """Indices of the pool vectors that the greedy selection can choose.
+
+    One scan in (x, y, index) order keeps the least-Y basis of the vectors
+    seen so far, chosen greedily by Y.  A vector is skipped once that basis
+    has n + 1 members and its Y is at least their largest Y: they are
+    independent, their x and Y are no larger, so their L is no larger at
+    every q, and they precede it in the greedy's (L, x, y, index) order.
+    The selection is therefore complete before it reaches a skipped vector.
+    """
+    basis: List[int] = []  # increasing Y
+    kept: List[int] = []
+    for i in sorted(range(len(pool)), key=lambda i: (pool[i].x, pool[i].y, i)):
+        Y = pool[i].Y.raw
+        if len(basis) == n + 1 and mpf_cmp(Y, pool[basis[-1]].Y.raw) >= 0:
+            continue
+        kept.append(i)
+        ints = IntBasis(n + 1)
+        by_Y = sorted(basis + [i], key=lambda j: pool[j].Y)
+        basis = [j for j in by_Y if ints.try_add(pool[j].ints())]
+    if len(basis) < n + 1:
+        raise InsufficientRank(f"pool spans rank {len(basis)} < {n + 1}")
+    return kept
+
+
 def profile(
     candidates: Sequence[ApproxVector],
     q_grid: Sequence[Scalar],
     n: int,
-    prefix_size: int = 64,
 ) -> List[ProfileSample]:
     """Exact min-max profile over the pool at each grid parameter.
 
-    A vectorized float pre-pass selects a candidate prefix per q; its
-    doubles come from the integers (`ApproxVector.float_logs`), so no
-    256-bit log runs per candidate.  The selection is then redone in exact
-    arithmetic, taking exact logs only for prefix members, and certified
-    against the smallest excluded float value, growing the prefix when
-    inconclusive.
+    The vectors that some n + 1 independent earlier vectors dominate in x
+    and Y are dropped once (`_undominated`); at every q the rest are scored
+    exactly and selected greedily in (L, x, y, index) order, so witnesses
+    index the caller's pool.  Dropping is exact when log_x and log_Y are
+    nondecreasing in x and Y, as for every pool `enumerate_candidates` or
+    `ApproxVector.from_target` builds; a pool of injected logs that breaks
+    this must have at most n + 1 vectors, so that none is dropped.
     The result upper-bounds the true lattice profile when the pool is
     incomplete and is exact for the pool itself.
     """
     pool = list(candidates)
-    if len(pool) < n + 1:
-        raise InsufficientRank(f"need at least {n + 1} candidates, have {len(pool)}")
-    lx, ly = (np.array(col) for col in zip(*(v.float_logs() for v in pool)))
+    kept = _undominated(pool, n)
 
     samples: List[ProfileSample] = []
     prev: Optional[PrecisionReal] = None
@@ -92,46 +113,14 @@ def profile(
         if prev is not None and not q > prev:
             raise ValueError("q_grid must be strictly increasing")
         prev = q
-        qf = float(q)
-        vals = np.maximum(lx - qf, ly + qf / n)
-
-        size = min(prefix_size, len(pool))
-        while True:
-            if size >= len(pool):
-                prefix = np.arange(len(pool))
-                cutoff = None
-            else:
-                part = np.argpartition(vals, size)
-                prefix = part[:size]
-                cutoff = float(vals[part[size]])
-            # in float order the exact sort below is nearly a single pass
-            prefix = prefix[np.argsort(vals[prefix], kind="stable")].tolist()
-
-            entries = sorted(
-                (vector_L(pool[i], q, n), pool[i].x, pool[i].y, i) for i in prefix
-            )
-            basis = IntBasis(n + 1)
-            chosen: List[Tuple[PrecisionReal, int]] = []
-            for L_val, _, _, idx in entries:
-                if basis.try_add(pool[idx].ints()):
-                    chosen.append((L_val, idx))
-                    if len(chosen) == n + 1:
-                        break
-
-            complete = len(chosen) == n + 1
-            certified = complete and (
-                cutoff is None or float(chosen[-1][0]) <= cutoff - _FLOAT_SLACK
-            )
-            if certified:
-                break
-            if size >= len(pool):
-                if not complete:
-                    raise InsufficientRank(
-                        f"pool spans rank {basis.count} < {n + 1} at q={qf:.6g}"
-                    )
-                break
-            size = min(len(pool), size * 4)
-
+        entries = sorted((vector_L(pool[i], q, n), pool[i].x, pool[i].y, i) for i in kept)
+        basis = IntBasis(n + 1)
+        chosen: List[Tuple[PrecisionReal, int]] = []
+        for L_val, _, _, idx in entries:
+            if basis.try_add(pool[idx].ints()):
+                chosen.append((L_val, idx))
+                if len(chosen) == n + 1:
+                    break
         samples.append(
             ProfileSample(
                 q=q,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby, product
@@ -24,8 +23,6 @@ __all__ = [
     "enumerate_candidates",
     "minimal_points",
 ]
-
-_LOG2 = math.log(2)
 
 
 class PgnError(Exception):
@@ -150,23 +147,6 @@ class ApproxVector:
         if self._log_Y is None:
             self._log_Y = log(self.Y)
         return self._log_Y
-
-    def float_logs(self) -> Tuple[float, float]:
-        """(log x, log Y) as doubles, within about 1e-14 of the exact logs.
-
-        Taken from the integers, log Y = log(man / 2^bc) + (exp + bc) log 2,
-        so no 256-bit log runs; an exact log already present (computed or
-        injected) is used instead, so the doubles always track the values
-        that `log_x` and `log_Y` return.
-        """
-        if self._log_x is not None:
-            lx = float(self._log_x)
-        else:
-            lx = math.log(self.x) if self.x else -math.inf
-        if self._log_Y is not None:
-            return lx, float(self._log_Y)
-        _, man, exp, bc = self.Y.raw
-        return lx, math.log(math.ldexp(man, -bc)) + (exp + bc) * _LOG2
 
     def __repr__(self) -> str:
         return f"ApproxVector(x={self.x}, y={self.y}, Y={float(self.Y):.6g})"

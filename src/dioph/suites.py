@@ -414,6 +414,13 @@ def suite_oracle(bits: int = 256, x_max: int = 100) -> List[CheckResult]:
     return out
 
 
+def _rounding_tol(value: PrecisionReal, bits: int) -> PrecisionReal:
+    """Slack for two roundings of one value: the coarser of 1e-60 and
+    2^(8 - bits) max(1, |value|), which is 1e-60 at 256 bits."""
+    scale = max(PrecisionReal(1, bits), abs(value))
+    return max(PrecisionReal("1e-60", bits), scale * PrecisionReal(2, bits) ** (8 - bits))
+
+
 def suite_profile(bits: int = 256, x_max: int = 300) -> List[CheckResult]:
     out: List[CheckResult] = []
     n = 2
@@ -435,7 +442,7 @@ def suite_profile(bits: int = 256, x_max: int = 300) -> List[CheckResult]:
     for a, b in zip(prof1, prof1[1:]):
         dq = b.q - a.q
         for j in range(n + 1):
-            if abs(b.L[j] - a.L[j]) > dq + PrecisionReal("1e-60", bits):
+            if abs(b.L[j] - a.L[j]) > dq + _rounding_tol(b.L[j], bits):
                 slope_ok = False
     out.append(CheckResult("profile", "slopes within [-1, 1/n]", slope_ok, ""))
 
@@ -477,7 +484,7 @@ def suite_profile(bits: int = 256, x_max: int = 300) -> List[CheckResult]:
         sample = next((s for s in prof1 if s.q == qk), None)
         if sample is None:
             continue
-        if abs(sample.L[0] - val) > PrecisionReal("1e-60", bits):
+        if abs(sample.L[0] - val) > _rounding_tol(val, bits):
             record_min_ok = False
     out.append(
         CheckResult("profile", "L_1 at record minima equals the record value", record_min_ok, "")

@@ -216,6 +216,14 @@ class TestVerifyCommand:
         code, out = run_cli("verify", "profile")
         assert code == 0
 
+    def test_profile_suite_passes_at_64_bits(self):
+        # L_1 at a record minimum and the record value are two roundings of
+        # one number; at 64 bits they differ by far more than 1e-60
+        code, out = run_cli("--precision-bits", "64", "verify", "profile", "--format", "json")
+        checks = [json.loads(l) for l in out.strip().splitlines()]
+        assert code == 0
+        assert checks and all(c["ok"] for c in checks)
+
     def test_constants_suite_flags_only_the_known_discrepancy(self):
         # the source's displayed 6-dimensional tau digits 0.268186 disagree
         # with the defining polynomial; the suite pins the certified digits
@@ -241,6 +249,23 @@ class TestSubprocessEntry:
         assert code == 0
         rows = [json.loads(l) for l in out.strip().splitlines()]
         assert rows[1]["tau"].startswith("0.618033988")
+
+    def test_cli_import_does_not_load_numpy(self):
+        import os
+        from pathlib import Path
+
+        import dioph
+
+        src = str(Path(dioph.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, dioph.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_low_precision_rejected(self):
         code, out, err = run_subprocess("--precision-bits", "32", "bounds", "--n", "2")

@@ -97,11 +97,6 @@ class TestApproxVector:
             assert pgn.ApproxVector.from_target(t, v.x, v.y).Y == v.Y
             assert v.Y.raw == exact_error_raw(t, v.x, v.y)
 
-    def test_float_logs_without_exact_logs(self):
-        v = pgn.ApproxVector(0, (1, 0), PR(1), 256)
-        assert v.float_logs() == (float("-inf"), 0.0)
-        assert v._log_x is None and v._log_Y is None
-
     def test_unit_vector_logs(self):
         v = pgn.ApproxVector(0, (1, 0), PR(1), 256)
         assert not v.log_x.is_finite and v.log_x < 0
