@@ -484,12 +484,16 @@ def _regular_graph_bound(n: int, bits: int, tol: Scalar, mu_n: PrecisionReal) ->
     return s ** (n - 1) / mu_n
 
 
-def chi_estimate(n: int, precision_bits: Optional[int] = None) -> PrecisionReal:
+def chi_estimate(
+    n: int,
+    precision_bits: Optional[int] = None,
+    tol: Scalar = DEFAULT_TOL,
+) -> PrecisionReal:
     """n^2 (2/n - tau_n); converges to the second-order coefficient ~3.18."""
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
     bits = precision_bits or DEFAULT_PRECISION_BITS
-    return _chi(n, bits, tau(n, bits))
+    return _chi(n, bits, tau(n, bits, tol))
 
 
 def _chi(n: int, bits: int, tau_n: PrecisionReal) -> PrecisionReal:
@@ -600,14 +604,15 @@ def lefths_solve(
 def integer_approx_exponents(
     n: int,
     precision_bits: Optional[int] = None,
+    tol: Scalar = DEFAULT_TOL,
 ) -> Tuple[PrecisionReal, PrecisionReal]:
     """Exponent magnitudes (1/sigma_n + 1, n/Theta + 1) for algebraic-integer
     approximation, even n >= 4; the epsilon loss is the caller's concern."""
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
     bits = precision_bits or DEFAULT_PRECISION_BITS
-    s = sigma(n, bits)
-    th = theta(bits)
+    s = sigma(n, bits, tol)
+    th = theta(bits, tol)
     return (1 / s + 1, PrecisionReal(n, bits) / th + 1)
 
 

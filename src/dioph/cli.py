@@ -201,18 +201,19 @@ def _cmd_simulate(args, config: RunConfig, out) -> int:
     bits = config.precision_bits
     target = _resolve_target(args.target, args.n, bits)
     n = target.n
-    pool_size = args.xmax * (2 * args.widen + 1) ** n
-    if pool_size > POOL_CAP and not args.allow_huge:
+    boxed = args.xmax * (2 * args.widen + 1) ** n
+    if boxed > POOL_CAP and not args.allow_huge:
         raise ValueError(
-            f"xmax * (2 widen + 1)^n = {pool_size} candidates exceeds the cap {POOL_CAP};"
+            f"xmax * (2 widen + 1)^n = {boxed} candidates exceeds the cap {POOL_CAP};"
             " pass --allow-huge to override"
         )
 
-    pool = pgn.enumerate_candidates(target, args.xmax, widen=args.widen)
-    seq = pgn.minimal_points(pool)
+    # the records and the profile of the whole pool come from its kept vectors
+    kept, pool_size = pgn.undominated_candidates(target, args.xmax, widen=args.widen)
+    seq = pgn.minimal_points(kept)
     q_max = nlog(PrecisionReal(args.xmax, bits)) if args.qmax is None else PrecisionReal(args.qmax, bits)
     grid = pgn.build_q_grid(seq, n, q_max, count=args.grid_points, q_min=args.qmin)
-    samples = pgn.profile(pool, grid, n)
+    samples = pgn.profile(kept, grid, n)
     estimates = pgn.estimate_exponents(seq, samples, n, window_fraction=args.window_fraction)
     diagnostics = pgn.intersection_diagnostics(seq, n) if len(seq) >= n + 2 else []
 
@@ -250,7 +251,7 @@ def _cmd_simulate(args, config: RunConfig, out) -> int:
         "n": n,
         "xmax": args.xmax,
         "widen": args.widen,
-        "pool_size": len(pool),
+        "pool_size": pool_size,
         "records": len(seq),
         "profile_samples": len(samples),
         "minkowski_defect": format_real(pgn.minkowski_defect(samples), 12),
@@ -262,7 +263,7 @@ def _cmd_simulate(args, config: RunConfig, out) -> int:
 
 
 def _cmd_verify(args, config: RunConfig, out) -> int:
-    results = run_suite(args.suite, config.precision_bits)
+    results = run_suite(args.suite, config.precision_bits, config.tol)
     all_ok = True
     for r in results:
         all_ok = all_ok and r.ok

@@ -6,19 +6,29 @@ profile value at q is the min-max over independent j-tuples, computed
 exactly by greedy selection in increasing L order (linear independence is
 a matroid, so the greedy selection realizes the min-max).  A vector with
 n + 1 independent vectors at or below it in both x and Y is never chosen,
-so the pool is pruned to the rest once and every q works on exact values.
+so the pool is pruned to the rest once and every q works on exact values;
+`undominated_candidates` streams that pruning over a target's pool
+without building the pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from mpmath.libmp import mpf_cmp
+from mpmath.libmp import from_man_exp, mpf_cmp
 
-from ..numerics import PrecisionReal, Scalar
+from ..numerics import RND, PrecisionReal, Scalar
 from .intrank import IntBasis
-from .vectors import ApproxVector, InsufficientRank, MinimalPointSequence
+from .vectors import (
+    ApproxVector,
+    InsufficientRank,
+    MinimalPointSequence,
+    RationalDependence,
+    TargetPoint,
+)
 
 __all__ = [
     "ProfileSample",
@@ -26,6 +36,7 @@ __all__ = [
     "vector_min_point",
     "crossing_q",
     "profile",
+    "undominated_candidates",
     "minkowski_defect",
     "build_q_grid",
 ]
@@ -61,29 +72,124 @@ def crossing_q(rising: ApproxVector, falling: ApproxVector, n: int) -> Precision
     return n * (falling.log_x - rising.log_Y) / (n + 1)
 
 
+class _Frontier:
+    """The domination rule: the least-Y basis of the vectors offered so
+    far, at most n + 1 independent vectors chosen greedily by Y."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.basis: List[ApproxVector] = []  # increasing Y
+
+    @property
+    def ceiling(self) -> Optional[tuple]:
+        """The raw largest basis Y once the basis has n + 1 members."""
+        return self.basis[-1].Y.raw if len(self.basis) == self.n + 1 else None
+
+    def offer(self, v: ApproxVector) -> bool:
+        """Keep v unless the basis is full and v's Y is at least its
+        largest Y; return whether v was kept."""
+        top = self.ceiling
+        if top is not None and mpf_cmp(v.Y.raw, top) >= 0:
+            return False
+        ints = IntBasis(self.n + 1)
+        by_Y = sorted(self.basis + [v], key=attrgetter("Y"))
+        self.basis = [u for u in by_Y if ints.try_add(u.ints())]
+        return True
+
+
 def _undominated(pool: Sequence[ApproxVector], n: int) -> List[int]:
     """Indices of the pool vectors that the greedy selection can choose.
 
-    One scan in (x, y, index) order keeps the least-Y basis of the vectors
-    seen so far, chosen greedily by Y.  A vector is skipped once that basis
-    has n + 1 members and its Y is at least their largest Y: they are
-    independent, their x and Y are no larger, so their L is no larger at
-    every q, and they precede it in the greedy's (L, x, y, index) order.
-    The selection is therefore complete before it reaches a skipped vector.
+    One scan in (x, y, index) order offers each vector to a `_Frontier`.
+    A vector it skips has n + 1 independent vectors before it whose x and Y
+    are no larger, so their L is no larger at every q, and they precede it
+    in the greedy's (L, x, y, index) order.  The selection is therefore
+    complete before it reaches a skipped vector.
     """
-    basis: List[int] = []  # increasing Y
-    kept: List[int] = []
-    for i in sorted(range(len(pool)), key=lambda i: (pool[i].x, pool[i].y, i)):
-        Y = pool[i].Y.raw
-        if len(basis) == n + 1 and mpf_cmp(Y, pool[basis[-1]].Y.raw) >= 0:
-            continue
-        kept.append(i)
-        ints = IntBasis(n + 1)
-        by_Y = sorted(basis + [i], key=lambda j: pool[j].Y)
-        basis = [j for j in by_Y if ints.try_add(pool[j].ints())]
-    if len(basis) < n + 1:
-        raise InsufficientRank(f"pool spans rank {len(basis)} < {n + 1}")
+    frontier = _Frontier(n)
+    order = sorted(range(len(pool)), key=lambda i: (pool[i].x, pool[i].y, i))
+    kept = [i for i in order if frontier.offer(pool[i])]
+    if frontier.ceiling is None:
+        raise InsufficientRank(f"pool spans rank {len(frontier.basis)} < {n + 1}")
     return kept
+
+
+def undominated_candidates(
+    target: TargetPoint, x_max: int, widen: int = 0
+) -> Tuple[List[ApproxVector], int]:
+    """(kept, size): the vectors of ``enumerate_candidates(target, x_max,
+    widen)`` that `_undominated` keeps, in (x, y) order, and the size of
+    that pool, which is never built.
+
+    The pool is offered to a `_Frontier` in its own order: the unit-type
+    vectors (0, e_i), then x = 1, ..., x_max, each x's +-widen box around
+    the nearest-integer vector in y order, with (1, 0, ..., 0) merged into
+    the x = 1 box.  Errors are exact integer numerators D over 2^E
+    (`TargetPoint.scaled`) and become vectors only where the frontier may
+    keep them.  Every Y is an integer over 2^E rounded to p bits, so it is
+    itself an integer over 2^E; an error at or above the largest basis Y
+    rounds (monotonely) to a Y at least as large, so it is dominated.  The
+    nearest-integer vector has the smallest numerator in its box, because
+    |D_i| <= 2^(E-1) <= |D_i - o 2^E| for every offset o != 0, so one such
+    comparison skips a whole box.  Every other error is rounded once and
+    offered like any pool vector, so ties fall as in `_undominated`; the
+    records of the pool are all kept, since no earlier vector has a Y as
+    small.  Raises RationalDependence at the pool's first zero error.
+    """
+    if x_max < 1:
+        raise ValueError("x_max must be >= 1")
+    if widen < 0:
+        raise ValueError("widen must be >= 0")
+    n, p = target.n, target.precision_bits
+    X, E = target.scaled()
+    one = 1 << E
+    steps = range(-widen, widen + 1)
+    frontier = _Frontier(n)
+    kept: List[ApproxVector] = []
+    bound: Optional[int] = None
+
+    def offer(x: int, y: Tuple[int, ...], D: int) -> None:
+        nonlocal bound
+        if bound is not None and D >= bound:
+            return
+        v = ApproxVector(x, y, PrecisionReal._make(from_man_exp(D, -E, p, RND), p), p)
+        if frontier.offer(v):
+            kept.append(v)
+            if frontier.ceiling is not None:
+                _, man, exp, _ = frontier.ceiling
+                bound = man << (exp + E)  # the largest basis Y times 2^E
+
+    for i in reversed(range(n)):
+        offer(0, tuple(int(j == i) for j in range(n)), one)
+    size = n + x_max * len(steps) ** n
+    for x in range(1, x_max + 1):
+        ys, Ds = [], []
+        for Xi in X:
+            # D = x X_i - base 2^E; the offset o moves it by -o 2^E
+            base, D = divmod(x * Xi, one)
+            if 2 * D > one or (2 * D == one and base & 1):
+                base, D = base + 1, D - one
+            ys.append(base)
+            Ds.append(D)
+        low = max(map(abs, Ds))
+        if low == 0:
+            raise RationalDependence(f"zero approximation error at {(x, *ys)}")
+        if bound is not None and low >= bound:
+            continue
+        box = zip(
+            product(*([b + o for o in steps] for b in ys)),
+            map(max, product(*([abs(D - (o << E)) for o in steps] for D in Ds))),
+        )
+        if x == 1:
+            box = dict(box)
+            origin = (0,) * n
+            if origin not in box:
+                box[origin] = max(map(abs, X))
+                size += 1
+            box = sorted(box.items())
+        for y, D in box:
+            offer(x, y, D)
+    return kept, size
 
 
 def profile(
@@ -99,7 +205,9 @@ def profile(
     index the caller's pool.  Dropping is exact when log_x and log_Y are
     nondecreasing in x and Y, as for every pool `enumerate_candidates` or
     `ApproxVector.from_target` builds; a pool of injected logs that breaks
-    this must have at most n + 1 vectors, so that none is dropped.
+    this must have at most n + 1 vectors, so that none is dropped.  The
+    kept vectors of `undominated_candidates` give the values of their whole
+    pool, because `_undominated` keeps every one of them.
     The result upper-bounds the true lattice profile when the pool is
     incomplete and is exact for the pool itself.
     """
@@ -113,10 +221,12 @@ def profile(
         if prev is not None and not q > prev:
             raise ValueError("q_grid must be strictly increasing")
         prev = q
-        entries = sorted((vector_L(pool[i], q, n), pool[i].x, pool[i].y, i) for i in kept)
+        # kept is in (x, y, index) order, so a stable sort on L alone
+        # gives the (L, x, y, index) order
+        scored = sorted(((vector_L(pool[i], q, n), i) for i in kept), key=lambda e: e[0])
         basis = IntBasis(n + 1)
         chosen: List[Tuple[PrecisionReal, int]] = []
-        for L_val, _, _, idx in entries:
+        for L_val, idx in scored:
             if basis.try_add(pool[idx].ints()):
                 chosen.append((L_val, idx))
                 if len(chosen) == n + 1:

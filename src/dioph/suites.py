@@ -19,8 +19,10 @@ from mpmath import mp
 from . import bounds as bd
 from . import pgn
 from .numerics import (
+    DEFAULT_TOL,
     InvalidPoint,
     PrecisionReal,
+    Scalar,
     e_value,
     exp,
     format_real,
@@ -162,6 +164,18 @@ def thinned_pool(
 # -- suites -------------------------------------------------------------------
 
 
+def _residual_bound(stated: str, bits: int, tol: Scalar) -> Tuple[PrecisionReal, str]:
+    """(bound, label): the coarser of a stated residual bound and 1000 tol.
+
+    A root solved to the relative width tol leaves a residual of about
+    |r f'(r)| tol: at most 18.3 tol for the equations checked here at 64,
+    72, 80, 96 and 104 bits, all from w(n).  At the default tol, 1e-30,
+    the stated bound is the coarser, and the label is the stated text."""
+    stated_value = PrecisionReal(stated, bits)
+    bound = max(stated_value, 1000 * PrecisionReal(tol, bits))
+    return bound, stated if bound == stated_value else format_real(bound, 3)
+
+
 def _named_target(name: str, n: int, bits: int) -> pgn.TargetPoint:
     values = {
         "e": e_value,
@@ -171,7 +185,7 @@ def _named_target(name: str, n: int, bits: int) -> pgn.TargetPoint:
     return pgn.TargetPoint.veronese(values[name](bits), n, bits)
 
 
-def suite_constants(bits: int = 256) -> List[CheckResult]:
+def suite_constants(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckResult]:
     out: List[CheckResult] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:
@@ -180,7 +194,7 @@ def suite_constants(bits: int = 256) -> List[CheckResult]:
     tau_targets = {2: "0.618033", 4: "0.370635", 6: "0.268185", 20: "0.092803"}
     taus = {}
     for n, digits in tau_targets.items():
-        t = bd.tau(n, bits)
+        t = bd.tau(n, bits, tol)
         taus[n] = t
         err = abs(t - PrecisionReal(digits, bits))
         add(
@@ -197,12 +211,13 @@ def suite_constants(bits: int = 256) -> List[CheckResult]:
         f"err {format_real(err, 3)}",
     )
 
+    small, small_label = _residual_bound("1e-20", bits, tol)
     for n, t in taus.items():
         half = PrecisionReal(n, bits) / 2
         resid = abs((half * t) ** n * t - (half + 1) * t + 1)
         add(
-            f"tau({n}) polynomial residual < 1e-20",
-            resid < PrecisionReal("1e-20", bits),
+            f"tau({n}) polynomial residual < {small_label}",
+            resid < small,
             f"|P(tau)|={format_real(resid, 3)}",
         )
         inside = PrecisionReal(2, bits) / (n + 2) < t < PrecisionReal(2, bits) / n
@@ -210,7 +225,7 @@ def suite_constants(bits: int = 256) -> List[CheckResult]:
 
     sigma_targets = {4: "0.370629", 6: "0.268183"}
     for n, digits in sigma_targets.items():
-        s = bd.sigma(n, bits)
+        s = bd.sigma(n, bits, tol)
         err = abs(s - PrecisionReal(digits, bits))
         add(
             f"sigma({n}) displayed digits +-2e-6",
@@ -218,19 +233,20 @@ def suite_constants(bits: int = 256) -> List[CheckResult]:
             f"sigma({n})={format_real(s, 12)}, err {format_real(err, 3)}",
         )
     for n in (4, 6, 8, 10, 12):
-        s = bd.sigma(n, bits)
-        t = bd.tau(n, bits)
+        s = bd.sigma(n, bits, tol)
+        t = bd.tau(n, bits, tol)
         ok = PrecisionReal(2, bits) / (n + 2) < s < t
         add(f"2/(n+2) < sigma({n}) < tau({n})", ok, f"sigma={format_real(s, 12)}")
 
-    th = bd.theta(bits)
+    th = bd.theta(bits, tol)
     add(
         "theta displayed digits +-5e-5",
         abs(th - PrecisionReal("1.7564", bits)) <= PrecisionReal("5e-5", bits),
         f"theta={format_real(th, 12)}",
     )
     resid = abs(exp(th) / th - 2 * sqrt(e_value(bits)))
-    add("theta residual < 1e-25", resid < PrecisionReal("1e-25", bits), format_real(resid, 3))
+    bound, label = _residual_bound("1e-25", bits, tol)
+    add(f"theta residual < {label}", resid < bound, format_real(resid, 3))
     e1 = exp(PrecisionReal(1, bits))
     e3 = exp(PrecisionReal(3, bits)) / 3
     target = 2 * sqrt(e_value(bits))
@@ -238,21 +254,25 @@ def suite_constants(bits: int = 256) -> List[CheckResult]:
 
     mu_ok, w_ok, details = True, True, []
     for n in range(2, 31):
-        w, m = bd.mu(n, bits)
+        w, m = bd.mu(n, bits, tol)
         d = w - PrecisionReal(n, bits)
         resid = abs((n - 1) * w / d - w + 1 - ((n - 1) / d) ** n)
-        if resid >= PrecisionReal("1e-20", bits):
+        if resid >= small:
             w_ok = False
             details.append(f"w({n}) residual {format_real(resid, 3)}")
         if n >= 10 and m != PrecisionReal(2 * n - 2, bits):
             mu_ok = False
             details.append(f"mu({n})={format_real(m, 12)}")
-    add("w(n) residual < 1e-20 for n in 2..30", w_ok, "; ".join(details) or "all below 1e-20")
+    add(
+        f"w(n) residual < {small_label} for n in 2..30",
+        w_ok,
+        "; ".join(details) or f"all below {small_label}",
+    )
     add("mu_n = 2n-2 exactly for n in 10..30", mu_ok, "; ".join(details) or "exact")
 
     rg_targets = {4: "0.3588", 6: "0.2540", 8: "0.1968"}
     for n, digits in rg_targets.items():
-        v = bd.regular_graph_lambda_bound(n, bits)
+        v = bd.regular_graph_lambda_bound(n, bits, tol)
         stated = PrecisionReal(digits, bits)
         ok = v < stated and stated - v <= PrecisionReal("5e-5", bits)
         add(
@@ -260,16 +280,16 @@ def suite_constants(bits: int = 256) -> List[CheckResult]:
             ok,
             f"value={format_real(v, 10)}",
         )
-    v8 = bd.regular_graph_lambda_bound(8, bits)
+    v8 = bd.regular_graph_lambda_bound(8, bits, tol)
     add("regular-graph bound(8) < 2/(n+2) = 0.2", v8 < PrecisionReal("0.2", bits), format_real(v8, 10))
 
-    chi20 = bd.chi_estimate(20, bits)
+    chi20 = bd.chi_estimate(20, bits, tol)
     add(
         "chi estimate at n=20 near 2.879",
         abs(chi20 - PrecisionReal("2.879", bits)) < PrecisionReal("1e-3", bits),
         format_real(chi20, 8),
     )
-    chi4 = bd.chi_estimate(4, bits)
+    chi4 = bd.chi_estimate(4, bits, tol)
     add(
         "chi estimate at n=4 near 2.070",
         abs(chi4 - PrecisionReal("2.070", bits)) < PrecisionReal("1e-3", bits),
@@ -283,14 +303,16 @@ def suite_constants(bits: int = 256) -> List[CheckResult]:
     alpha = (sqrt(PrecisionReal(5, bits)) - 1) / 2
     cl = bd.classical_low_dim(alpha, PrecisionReal(1, bits))
     ref = 1 / alpha**2
+    # two roundings of one value: 2^(8 - bits) is coarser below 108 bits
+    slack = max(PrecisionReal("1e-30", bits), PrecisionReal(2, bits) ** (8 - bits))
     add(
         "golden-ratio n=2 identity: uniform dual = 1/alpha^2",
-        _rel_err(cl.jarnik, ref) < PrecisionReal("1e-30", bits),
+        _rel_err(cl.jarnik, ref) < slack,
         format_real(cl.jarnik, 12),
     )
 
-    ia4 = bd.integer_approx_exponents(4, bits)
-    ia6 = bd.integer_approx_exponents(6, bits)
+    ia4 = bd.integer_approx_exponents(4, bits, tol)
+    ia6 = bd.integer_approx_exponents(6, bits, tol)
     ok = (
         abs(ia4[0] - PrecisionReal("3.698", bits)) < PrecisionReal("1e-3", bits)
         and abs(ia4[1] - PrecisionReal("3.277", bits)) < PrecisionReal("1e-3", bits)
@@ -303,7 +325,7 @@ def suite_constants(bits: int = 256) -> List[CheckResult]:
         f"{[format_real(v, 8) for v in (*ia4, *ia6)]}",
     )
 
-    lf = bd.lefths_solve(50, bd.theta(bits) / 50, bits)
+    lf = bd.lefths_solve(50, th / 50, bits, tol)
     add(
         "dual identity root near 2n at n=50",
         abs(lf / 50 - 2) < PrecisionReal("0.02", bits),
@@ -312,15 +334,17 @@ def suite_constants(bits: int = 256) -> List[CheckResult]:
     return out
 
 
-def suite_corollary(bits: int = 256, count: int = 200, seed: int = 20260809) -> List[CheckResult]:
+def suite_corollary(
+    bits: int = 256, tol: Scalar = DEFAULT_TOL, count: int = 200, seed: int = 20260809
+) -> List[CheckResult]:
     rng = random.Random(seed)
-    tol = PrecisionReal("1e-10", bits)
+    allowed = PrecisionReal("1e-10", bits)
     out: List[CheckResult] = []
     for i in range(count):
         n = rng.randint(2, 8)
         a = rng.uniform(1.0 / n, 0.9)
         alpha = PrecisionReal(a, bits)
-        beta = bd.beta_for_equality(n, alpha, bits)
+        beta = bd.beta_for_equality(n, alpha, bits, tol)
         ds = bd.dual_bounds(bd.mm_defect(n, alpha, beta, bits))
         rg = bd.regular_graph_duals(n, alpha, beta, bits)
         worst = max(
@@ -333,18 +357,18 @@ def suite_corollary(bits: int = 256, count: int = 200, seed: int = 20260809) -> 
             CheckResult(
                 "corollary",
                 f"collapse #{i:03d} (n={n}, alpha={a:.6f})",
-                worst <= tol,
+                worst <= allowed,
                 f"worst relative deviation {format_real(worst, 3)}",
             )
         )
     return out
 
 
-def suite_monotonicity(bits: int = 256) -> List[CheckResult]:
+def suite_monotonicity(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckResult]:
     out: List[CheckResult] = []
     for n in (4, 6):
-        s = bd.sigma(n, bits)
-        t = bd.tau(n, bits)
+        s = bd.sigma(n, bits, tol)
+        t = bd.tau(n, bits, tol)
         beta = PrecisionReal(2, bits) / n + PrecisionReal("1e-9", bits)
         values = []
         hypothesis = True
@@ -376,7 +400,7 @@ def suite_monotonicity(bits: int = 256) -> List[CheckResult]:
     return out
 
 
-def suite_oracle(bits: int = 256, x_max: int = 100) -> List[CheckResult]:
+def suite_oracle(bits: int = 256, tol: Scalar = DEFAULT_TOL, x_max: int = 100) -> List[CheckResult]:
     out: List[CheckResult] = []
     rng = random.Random(4817)
     for n in (1, 2, 3):
@@ -421,7 +445,7 @@ def _rounding_tol(value: PrecisionReal, bits: int) -> PrecisionReal:
     return max(PrecisionReal("1e-60", bits), scale * PrecisionReal(2, bits) ** (8 - bits))
 
 
-def suite_profile(bits: int = 256, x_max: int = 300) -> List[CheckResult]:
+def suite_profile(bits: int = 256, tol: Scalar = DEFAULT_TOL, x_max: int = 300) -> List[CheckResult]:
     out: List[CheckResult] = []
     n = 2
     target = _named_target("e", n, bits)
@@ -501,7 +525,9 @@ SUITE_NAMES: Dict[str, Callable[..., List[CheckResult]]] = {
 }
 
 
-def run_suite(name: str, bits: int = 256) -> List[CheckResult]:
+def run_suite(name: str, bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckResult]:
+    """Run one suite at bits, every root solved to the relative width tol
+    (the oracle and profile suites solve none)."""
     if name not in SUITE_NAMES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITE_NAMES)}")
-    return SUITE_NAMES[name](bits)
+    return SUITE_NAMES[name](bits, tol)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from dioph import pgn
 from dioph.cli import main
 
 
@@ -170,12 +171,34 @@ class TestSimulateCommand:
             raise AssertionError("enumerated a pool beyond the cap")
 
         monkeypatch.setattr("dioph.pgn.enumerate_candidates", refuse)
+        monkeypatch.setattr("dioph.pgn.undominated_candidates", refuse)
         with pytest.raises(SystemExit) as exc:
             run_cli(
                 "simulate", "--target", "veronese:e", "--n", "3", "--widen", "2",
                 "--xmax", "1000000", "--out", str(tmp_path),
             )
         assert exc.value.code == 2
+
+    def test_builds_vectors_only_for_the_kept_candidates(self, tmp_path, monkeypatch):
+        # the 90,003-vector pool is streamed: an ApproxVector is built only
+        # where the profile's pruning may keep it
+        built = 0
+        init = pgn.ApproxVector.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(pgn.ApproxVector, "__init__", counted)
+        code, out = run_cli(
+            "simulate", "--target", "veronese:e", "--n", "2", "--xmax", "10000",
+            "--out", str(tmp_path), "--format", "json",
+        )
+        assert code == 0
+        pool_size = json.loads(out)["pool_size"]
+        assert pool_size == 10000 * 3**2 + 2 + 1
+        assert 0 < built < 0.01 * pool_size
 
     def test_qmax_and_window_flags(self, tmp_path):
         code, out = run_cli(
@@ -220,6 +243,14 @@ class TestVerifyCommand:
         # L_1 at a record minimum and the record value are two roundings of
         # one number; at 64 bits they differ by far more than 1e-60
         code, out = run_cli("--precision-bits", "64", "verify", "profile", "--format", "json")
+        checks = [json.loads(l) for l in out.strip().splitlines()]
+        assert code == 0
+        assert checks and all(c["ok"] for c in checks)
+
+    def test_constants_suite_passes_at_64_bits(self):
+        # every solve takes the precision's default tol, 2^-56 at 64 bits;
+        # at a fixed 1e-30 bisection stalls and the command exits 4
+        code, out = run_cli("--precision-bits", "64", "verify", "constants", "--format", "json")
         checks = [json.loads(l) for l in out.strip().splitlines()]
         assert code == 0
         assert checks and all(c["ok"] for c in checks)

@@ -41,11 +41,12 @@ class TestEstimateExponents:
     def test_liouville_ordinary_exponent_spikes(self):
         # the window straddles the jump to the 10^6 denominator, so the
         # log-log fit sees the factorial spike; the raw ratio ceiling is 3
+        # the stream gives the records and profile of the 10^6-vector pool
         t = pgn.TargetPoint.veronese(liouville_value(192), 1, 192)
-        pool = pgn.enumerate_candidates(t, 10**6, widen=0)
-        seq = pgn.minimal_points(pool)
+        kept, _ = pgn.undominated_candidates(t, 10**6, widen=0)
+        seq = pgn.minimal_points(kept)
         grid = pgn.build_q_grid(seq, 1, nlog(PR(10**6, 192)), count=40)
-        prof = pgn.profile(pool, grid, 1)
+        prof = pgn.profile(kept, grid, 1)
         est = pgn.estimate_exponents(seq, prof, 1)
         assert est.lambda_est > PR(5)
         assert abs(est.lambda_hat_est - 1) < PR("0.2")

@@ -1,12 +1,13 @@
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dioph.numerics
 from dioph import pgn
 from dioph.numerics import PrecisionReal, e_value, golden_value, log as nlog
+from dioph.pgn.profile import _undominated
 from dioph.suites import exhaustive_minmax, thinned_pool
 
 PR = PrecisionReal
@@ -209,6 +210,93 @@ def test_shuffled_pool_matches_full_pool_greedy(case, grid):
         return
     for s in pgn.profile(pool, qs, n):
         assert (s.L, s.witnesses) == full_pool_greedy(pool, s.q, n)
+
+
+def pool_outcome(target, x_max, widen):
+    """(kept keys, record keys, pool size) from the whole pool, or the
+    RationalDependence message: the oracle for undominated_candidates."""
+    try:
+        pool = pgn.enumerate_candidates(target, x_max, widen)
+    except pgn.RationalDependence as exc:
+        return str(exc)
+    keys = lambda vs: [(v.x, v.y, v.Y.raw) for v in vs]
+    kept = [pool[i] for i in _undominated(pool, target.n)]
+    return keys(kept), keys(pgn.minimal_points(pool)), len(pool)
+
+
+def stream_outcome(target, x_max, widen):
+    try:
+        kept, size = pgn.undominated_candidates(target, x_max, widen)
+    except pgn.RationalDependence as exc:
+        return str(exc)
+    keys = lambda vs: [(v.x, v.y, v.Y.raw) for v in vs]
+    return keys(kept), keys(pgn.minimal_points(kept)), size
+
+
+# a coordinate is a dyadic k/2^m (rational by x = 2^m; its small
+# numerators make equal errors common), a double, or a 30-digit decimal
+# rounded to the working precision
+coordinate = st.one_of(
+    st.tuples(st.integers(-(2**14), 2**14), st.integers(0, 12)).map(lambda km: f"{km[0] / 2 ** km[1]!r}"),
+    st.floats(-20, 20, allow_nan=False).map(repr),
+    st.integers(-(10**31), 10**31).map(lambda k: f"{k}e-30"),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coords=st.integers(1, 3).flatmap(lambda n: st.lists(coordinate, min_size=n, max_size=n)),
+    widen=st.integers(0, 2),
+    x_max=st.integers(1, 400),
+    bits=st.integers(64, 256),
+)
+@example(coords=["5.3"], widen=1, x_max=50, bits=256)
+@example(coords=["0.25", "0.1"], widen=2, x_max=40, bits=64)
+@example(coords=["-17.75"], widen=1, x_max=2, bits=64)  # a box minimum one below the bound
+def test_stream_matches_the_pool(coords, widen, x_max, bits):
+    # kept vectors, records and pool size of the stream against the whole
+    # pool; boxes are cut to keep every pool within 2,000 vectors
+    target = pgn.TargetPoint.explicit(coords, bits)
+    x_max = max(1, min(x_max, 2000 // (2 * widen + 1) ** target.n))
+    assert stream_outcome(target, x_max, widen) == pool_outcome(target, x_max, widen)
+
+
+class TestUndominatedCandidates:
+    def test_support_vector_outside_the_first_box(self):
+        # round(5.3) = 5, so the widen-1 box at x = 1 is y = 4..6 and the
+        # pool adds (1, 0) to it
+        t = pgn.TargetPoint.explicit(["5.3"])
+        kept, size = pgn.undominated_candidates(t, 200, widen=1)
+        assert size == 1 + 200 * 3 + 1
+        assert (1, (0,)) in [(v.x, v.y) for v in kept]
+        assert stream_outcome(t, 200, 1) == pool_outcome(t, 200, 1)
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [(["0.5"], "(2, 1)"), (["0.25", "-0.375"], "(8, 2, -3)"), (["0.1", "0.75"], "")],
+    )
+    def test_rational_target_raises_like_the_pool(self, coords, message):
+        # 0.1 is not dyadic, so the last target only reaches a zero error
+        # at x = 2^E, beyond x_max: both paths then return normally
+        t = pgn.TargetPoint.explicit(coords, 64)
+        got = stream_outcome(t, 300, 1)
+        assert got == pool_outcome(t, 300, 1)
+        if message:
+            assert got == f"zero approximation error at {message}"
+        else:
+            assert not isinstance(got, str)
+
+    def test_records_and_profile_match_the_pool(self):
+        t = pgn.TargetPoint.veronese(e_value(), 2)
+        pool = pgn.enumerate_candidates(t, 3000, widen=1)
+        kept, size = pgn.undominated_candidates(t, 3000, widen=1)
+        seq = pgn.minimal_points(pool)
+        assert size == len(pool) and len(kept) < 0.01 * size
+        assert [v.ints() for v in pgn.minimal_points(kept)] == [v.ints() for v in seq]
+        grid = pgn.build_q_grid(seq, 2, nlog(PR(3000)), count=30)
+        for a, b in zip(pgn.profile(pool, grid, 2), pgn.profile(kept, grid, 2)):
+            assert a.L == b.L
+            assert [pool[i].ints() for i in a.witnesses] == [kept[i].ints() for i in b.witnesses]
 
 
 class TestMinkowskiDefect:
