@@ -212,6 +212,10 @@ def test_shuffled_pool_matches_full_pool_greedy(case, grid):
         assert (s.L, s.witnesses) == full_pool_greedy(pool, s.q, n)
 
 
+def vector_keys(vectors):
+    return [(v.x, v.y, v.Y.raw) for v in vectors]
+
+
 def pool_outcome(target, x_max, widen):
     """(kept keys, record keys, pool size) from the whole pool, or the
     RationalDependence message: the oracle for undominated_candidates."""
@@ -219,9 +223,8 @@ def pool_outcome(target, x_max, widen):
         pool = pgn.enumerate_candidates(target, x_max, widen)
     except pgn.RationalDependence as exc:
         return str(exc)
-    keys = lambda vs: [(v.x, v.y, v.Y.raw) for v in vs]
     kept = [pool[i] for i in _undominated(pool, target.n)]
-    return keys(kept), keys(pgn.minimal_points(pool)), len(pool)
+    return vector_keys(kept), vector_keys(pgn.minimal_points(pool)), len(pool)
 
 
 def stream_outcome(target, x_max, widen):
@@ -229,15 +232,14 @@ def stream_outcome(target, x_max, widen):
         kept, size = pgn.undominated_candidates(target, x_max, widen)
     except pgn.RationalDependence as exc:
         return str(exc)
-    keys = lambda vs: [(v.x, v.y, v.Y.raw) for v in vs]
-    return keys(kept), keys(pgn.minimal_points(kept)), size
+    return vector_keys(kept), vector_keys(pgn.minimal_points(kept)), size
 
 
 # a coordinate is a dyadic k/2^m (rational by x = 2^m; its small
 # numerators make equal errors common), a double, or a 30-digit decimal
 # rounded to the working precision
 coordinate = st.one_of(
-    st.tuples(st.integers(-(2**14), 2**14), st.integers(0, 12)).map(lambda km: f"{km[0] / 2 ** km[1]!r}"),
+    st.builds(lambda k, m: repr(k / 2**m), st.integers(-(2**14), 2**14), st.integers(0, 12)),
     st.floats(-20, 20, allow_nan=False).map(repr),
     st.integers(-(10**31), 10**31).map(lambda k: f"{k}e-30"),
 )
@@ -255,7 +257,7 @@ coordinate = st.one_of(
 @example(coords=["-17.75"], widen=1, x_max=2, bits=64)  # a box minimum one below the bound
 def test_stream_matches_the_pool(coords, widen, x_max, bits):
     # kept vectors, records and pool size of the stream against the whole
-    # pool; boxes are cut to keep every pool within 2,000 vectors
+    # pool; x_max is cut so that no pool exceeds 2,000 vectors
     target = pgn.TargetPoint.explicit(coords, bits)
     x_max = max(1, min(x_max, 2000 // (2 * widen + 1) ** target.n))
     assert stream_outcome(target, x_max, widen) == pool_outcome(target, x_max, widen)
