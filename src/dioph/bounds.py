@@ -15,12 +15,12 @@ from typing import NamedTuple, Optional, Tuple
 
 from .numerics import (
     DEFAULT_PRECISION_BITS,
-    DEFAULT_TOL,
     Bracket,
     InvalidPoint,
     PrecisionReal,
     Scalar,
     _as_real,
+    at_precision,
     e_value,
     exp,
     find_root,
@@ -105,10 +105,6 @@ def _epsilon_value(n: int, alpha: PrecisionReal, beta: PrecisionReal) -> Precisi
     return 1 - _geometric_sum(alpha, alpha / beta, n)
 
 
-# defects within this absolute tolerance count as zero (regular graph)
-ZERO_DEFECT_TOL = PrecisionReal("1e-20", 64)
-
-
 # -- the defect and Theorem-level dual bounds --------------------------------
 
 
@@ -126,20 +122,22 @@ class BoundContext:
     S: PrecisionReal
     T: PrecisionReal
 
+    def zero_defect(self) -> bool:
+        """|epsilon| <= at_precision(1e-20, p), 1e-20 from 75 bits up: the regular graph."""
+        return abs(self.epsilon) <= at_precision("1e-20", self.epsilon.precision_bits)
+
     def hypothesis_satisfied(self) -> bool:
         """0 <= epsilon <= threshold, up to numerical guards.
 
         A genuinely negative defect means no point realizes (alpha, beta)
         at all (the sharp inequality fails), so the dual bounds are
-        meaningless there; defects within the 1e-20 zero-defect tolerance
-        (e.g. roots of the equality equation, or alpha = beta = 1/n with a
-        non-dyadic 1/n) count as zero.  The threshold side carries a
-        2^(8-p) round-off guard.
+        meaningless there.  A ``zero_defect`` (a root of the equality
+        equation, or alpha = beta = 1/n with a non-dyadic 1/n) satisfies
+        it; the threshold side carries an at_precision(0, p) guard.
         """
-        if abs(self.epsilon) <= ZERO_DEFECT_TOL:
-            return True  # zero defect always satisfies (threshold >= 0)
-        p = self.epsilon.precision_bits
-        slack = PrecisionReal(1, p) / (1 << min(p - 8, 2 * p))
+        if self.zero_defect():
+            return True  # threshold >= 0
+        slack = at_precision(0, self.epsilon.precision_bits)
         return self.epsilon.sign() > 0 and self.epsilon <= self.threshold + slack
 
 
@@ -248,14 +246,12 @@ def regular_graph_duals(
     alpha: Scalar,
     beta: Scalar,
     precision_bits: Optional[int] = None,
-    tolerance: Scalar = "1e-20",
 ) -> Tuple[PrecisionReal, PrecisionReal]:
-    """(beta^(n-1)/alpha^n, beta^n/alpha^(n+1)) for a zero-defect pair."""
+    """(beta^(n-1)/alpha^n, beta^n/alpha^(n+1)) for a pair with ``zero_defect``."""
     ctx = mm_defect(n, alpha, beta, precision_bits)
-    tol = _as_real(tolerance, ctx.epsilon.precision_bits)
-    if abs(ctx.epsilon) > tol:
+    if not ctx.zero_defect():
         raise NotRegularGraph(
-            f"|epsilon|={float(abs(ctx.epsilon)):.3g} exceeds tolerance {float(tol):.3g}"
+            f"epsilon={float(ctx.epsilon):.3g} is not zero at {ctx.epsilon.precision_bits} bits"
         )
     a, b = ctx.alpha, ctx.beta
     return (b ** (n - 1) / a**n, b**n / a ** (n + 1))
@@ -265,7 +261,7 @@ def beta_for_equality(
     n: int,
     alpha: Scalar,
     precision_bits: Optional[int] = None,
-    tol: Scalar = DEFAULT_TOL,
+    tol: Optional[Scalar] = None,
 ) -> PrecisionReal:
     """The unique beta >= alpha with zero defect, certified by bisection.
 
@@ -276,10 +272,10 @@ def beta_for_equality(
     zero at 64 bits already for n = 30, alpha = 0.8.)
 
     The result is the midpoint of the final bracket, so its defect may be
-    negative at the tol level: at the default 1e-30, n = 4 and
-    alpha = 0.8125 give epsilon = -1.36e-32.  ``hypothesis_satisfied``
-    counts that as zero (within 1e-20); a caller that needs epsilon >= 0
-    must solve at a tighter tol.
+    negative at the tol level: at 256 bits (tol 1e-30), n = 4 and
+    alpha = 0.8125 give epsilon = -1.36e-32.  ``BoundContext.zero_defect``
+    counts that as zero; a caller that needs epsilon >= 0 must solve at a
+    tighter tol.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
@@ -306,7 +302,7 @@ def beta_for_equality(
 def tau(
     n: int,
     precision_bits: Optional[int] = None,
-    tol: Scalar = DEFAULT_TOL,
+    tol: Optional[Scalar] = None,
 ) -> PrecisionReal:
     """Root of (n/2)^n t^(n+1) - (n/2+1) t + 1 inside (2/(n+2), 2/n), even n.
 
@@ -342,7 +338,7 @@ class MuValue(NamedTuple):
 def mu(
     n: int,
     precision_bits: Optional[int] = None,
-    tol: Scalar = DEFAULT_TOL,
+    tol: Optional[Scalar] = None,
 ) -> MuValue:
     """(w(n), mu_n) with mu_n = max(2n-2, w(n)).
 
@@ -382,7 +378,7 @@ def _what_lower_value(ctx: BoundContext) -> PrecisionReal:
 def sigma(
     n: int,
     precision_bits: Optional[int] = None,
-    tol: Scalar = DEFAULT_TOL,
+    tol: Optional[Scalar] = None,
 ) -> PrecisionReal:
     """Root of the implicit equation W_alpha = mu_n at beta = 2/n, even n >= 4.
 
@@ -399,7 +395,7 @@ def sigma(
 
 
 def _sigma(
-    n: int, bits: int, tol: Scalar, mu_n: PrecisionReal, tau_n: PrecisionReal
+    n: int, bits: int, tol: Optional[Scalar], mu_n: PrecisionReal, tau_n: PrecisionReal
 ) -> PrecisionReal:
     """sigma(n) from mu_n and tau_n already in hand.
 
@@ -441,7 +437,7 @@ def _sigma(
 
 def theta(
     precision_bits: Optional[int] = None,
-    tol: Scalar = DEFAULT_TOL,
+    tol: Optional[Scalar] = None,
 ) -> PrecisionReal:
     """Root of e^t / t = 2 sqrt(e) with t > 1, certified in (1, 3)."""
     bits = precision_bits or DEFAULT_PRECISION_BITS
@@ -453,7 +449,7 @@ def theta(
 def regular_graph_lambda_bound(
     n: int,
     precision_bits: Optional[int] = None,
-    tol: Scalar = DEFAULT_TOL,
+    tol: Optional[Scalar] = None,
 ) -> PrecisionReal:
     """The alpha solving beta0(alpha)^(n-1) / alpha^n = mu_n, even n >= 4.
 
@@ -476,7 +472,9 @@ def regular_graph_lambda_bound(
     return _regular_graph_bound(n, bits, tol, mu(n, bits, tol).mu)
 
 
-def _regular_graph_bound(n: int, bits: int, tol: Scalar, mu_n: PrecisionReal) -> PrecisionReal:
+def _regular_graph_bound(
+    n: int, bits: int, tol: Optional[Scalar], mu_n: PrecisionReal
+) -> PrecisionReal:
     """regular_graph_lambda_bound(n) from mu_n already in hand."""
     one = PrecisionReal(1, bits)
     g = lambda s: _geometric_sum(one, s, n) - mu_n
@@ -487,7 +485,7 @@ def _regular_graph_bound(n: int, bits: int, tol: Scalar, mu_n: PrecisionReal) ->
 def chi_estimate(
     n: int,
     precision_bits: Optional[int] = None,
-    tol: Scalar = DEFAULT_TOL,
+    tol: Optional[Scalar] = None,
 ) -> PrecisionReal:
     """n^2 (2/n - tau_n); converges to the second-order coefficient ~3.18."""
     if not isinstance(n, int) or n < 4 or n % 2:
@@ -573,7 +571,7 @@ def lefths_solve(
     n: int,
     omega: Scalar,
     precision_bits: Optional[int] = None,
-    tol: Scalar = DEFAULT_TOL,
+    tol: Optional[Scalar] = None,
 ) -> PrecisionReal:
     """Increasing-branch root of (1+t)(1+1/t)^n = (1+1/omega)(1+omega)^n.
 
@@ -604,7 +602,7 @@ def lefths_solve(
 def integer_approx_exponents(
     n: int,
     precision_bits: Optional[int] = None,
-    tol: Scalar = DEFAULT_TOL,
+    tol: Optional[Scalar] = None,
 ) -> Tuple[PrecisionReal, PrecisionReal]:
     """Exponent magnitudes (1/sigma_n + 1, n/Theta + 1) for algebraic-integer
     approximation, even n >= 4; the epsilon loss is the caller's concern."""
@@ -638,13 +636,13 @@ def constants_report(
     n: int,
     precision_bits: Optional[int] = None,
     theta_value: Optional[PrecisionReal] = None,
-    tol: Scalar = DEFAULT_TOL,
+    tol: Optional[Scalar] = None,
 ) -> ConstantsReport:
     """One row of the constants table; sigma and the regular-graph bound
     exist for even n >= 4, tau for even n >= 2, the 2/(n+1) bound for odd n.
 
     mu_n and tau_n are solved once and shared by every constant built on
-    them; tol is the relative width of every root.
+    them; tol (None: the precision's default) is the width of every root.
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError("n must be an integer >= 2")

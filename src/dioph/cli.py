@@ -18,7 +18,6 @@ from . import bounds as bd
 from . import pgn
 from .numerics import (
     DEFAULT_PRECISION_BITS,
-    DEFAULT_TOL,
     NumericsError,
     PrecisionReal,
     Scalar,
@@ -61,9 +60,9 @@ _NAMED_CONSTANTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """precision_bits, the relative root width tol (None: the coarser of
-    DEFAULT_TOL and 2^(8 - precision_bits), which bisection can reach at
-    that precision) and the output format."""
+    """precision_bits, the relative root width tol (None: each solve takes
+    the precision's default, ``numerics.at_precision(DEFAULT_TOL, bits)``)
+    and the output format."""
 
     precision_bits: int = DEFAULT_PRECISION_BITS
     tol: Optional[Scalar] = None
@@ -72,12 +71,7 @@ class RunConfig:
     def __post_init__(self):
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
-        if self.tol is None:
-            floor = PrecisionReal(1, self.precision_bits) / (1 << (self.precision_bits - 8))
-            reachable = max(PrecisionReal(DEFAULT_TOL, self.precision_bits), floor)
-            object.__setattr__(self, "tol", reachable)
-        t = PrecisionReal(self.tol, self.precision_bits)
-        if t.sign() <= 0:
+        if self.tol is not None and PrecisionReal(self.tol, self.precision_bits).sign() <= 0:
             raise ValueError("tol must parse as a positive real")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError("output_format must be json, csv or text")
@@ -263,7 +257,7 @@ def _cmd_simulate(args, config: RunConfig, out) -> int:
 
 
 def _cmd_verify(args, config: RunConfig, out) -> int:
-    results = run_suite(args.suite, config.precision_bits, config.tol)
+    results = run_suite(args.suite, config.precision_bits)
     all_ok = True
     for r in results:
         all_ok = all_ok and r.ok
@@ -306,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol",
         default=argparse.SUPPRESS,
-        help="relative width of every root (default: the coarser of 1e-30 and 2^(8 - bits))",
+        help="relative width of every root (default: 1e-30, or the finest the precision reaches)",
     )
     _add_format(p, ("json", "csv", "text"))
     p.set_defaults(func=_cmd_bounds)

@@ -54,6 +54,7 @@ __all__ = [
     "InvalidBracket",
     "NoConvergence",
     "InvalidPoint",
+    "at_precision",
     "find_root",
     "scan_brackets",
     "exp",
@@ -301,6 +302,13 @@ def _as_real(x: Scalar, bits: Optional[int] = None) -> PrecisionReal:
     return PrecisionReal(x, bits)
 
 
+def at_precision(stated: Scalar, bits: int) -> PrecisionReal:
+    """The coarser of a stated tolerance and 2^(8 - bits), the finest width
+    bisection and two roundings of one value meet at bits (2^-56 at 64 bits,
+    2^-248 at 256 bits, where 1e-30 or 1e-20 is kept as stated)."""
+    return max(PrecisionReal(stated, bits), PrecisionReal(2, bits) ** (8 - bits))
+
+
 # -- elementary functions ---------------------------------------------------
 
 
@@ -419,17 +427,18 @@ def _width_ok(lo: PrecisionReal, hi: PrecisionReal, tol: PrecisionReal) -> bool:
 def find_root(
     f: Callable[[PrecisionReal], Scalar],
     bracket: Bracket,
-    tol: Scalar = DEFAULT_TOL,
+    tol: Optional[Scalar] = None,
 ) -> PrecisionReal:
     """Bisect a certified bracket until its width is below tol (relative).
 
+    tol None is at_precision(DEFAULT_TOL, bits) at the bracket's precision.
     Deterministic; never leaves the bracket.  Raises InvalidBracket when the
     endpoint signs of f agree, NoConvergence when the working precision is
     exhausted before reaching the width target.
     """
     lo, hi = bracket.lo, bracket.hi
     bits = max(lo.precision_bits, hi.precision_bits)
-    tol = _as_real(tol, bits)
+    tol = at_precision(DEFAULT_TOL, bits) if tol is None else _as_real(tol, bits)
     if tol.sign() <= 0:
         raise ValueError("tol must be positive")
 

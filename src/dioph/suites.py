@@ -22,7 +22,7 @@ from .numerics import (
     DEFAULT_TOL,
     InvalidPoint,
     PrecisionReal,
-    Scalar,
+    at_precision,
     e_value,
     exp,
     format_real,
@@ -164,15 +164,16 @@ def thinned_pool(
 # -- suites -------------------------------------------------------------------
 
 
-def _residual_bound(stated: str, bits: int, tol: Scalar) -> Tuple[PrecisionReal, str]:
-    """(bound, label): the coarser of a stated residual bound and 1000 tol.
+def _residual_bound(stated: str, bits: int) -> Tuple[PrecisionReal, str]:
+    """(bound, label): the coarser of a stated residual bound and 1000 tol,
+    where tol = at_precision(DEFAULT_TOL, bits) is the width of every root.
 
     A root solved to the relative width tol leaves a residual of about
     |r f'(r)| tol: at most 18.3 tol for the equations checked here at 64,
-    72, 80, 96 and 104 bits, all from w(n).  At the default tol, 1e-30,
-    the stated bound is the coarser, and the label is the stated text."""
+    72, 80, 96 and 104 bits, all from w(n).  At 256 bits (tol 1e-30) the
+    stated bound is the coarser, and the label is the stated text."""
     stated_value = PrecisionReal(stated, bits)
-    bound = max(stated_value, 1000 * PrecisionReal(tol, bits))
+    bound = max(stated_value, 1000 * at_precision(DEFAULT_TOL, bits))
     return bound, stated if bound == stated_value else format_real(bound, 3)
 
 
@@ -185,17 +186,18 @@ def _named_target(name: str, n: int, bits: int) -> pgn.TargetPoint:
     return pgn.TargetPoint.veronese(values[name](bits), n, bits)
 
 
-def suite_constants(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckResult]:
+def suite_constants(bits: int = 256) -> List[CheckResult]:
     out: List[CheckResult] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:
         out.append(CheckResult("constants", name, bool(ok), detail))
 
+    th = bd.theta(bits)
+    reports = {n: bd.constants_report(n, bits, theta_value=th) for n in (2, 4, 6, 8, 10, 12, 20)}
+
     tau_targets = {2: "0.618033", 4: "0.370635", 6: "0.268185", 20: "0.092803"}
-    taus = {}
     for n, digits in tau_targets.items():
-        t = bd.tau(n, bits, tol)
-        taus[n] = t
+        t = reports[n].tau_n
         err = abs(t - PrecisionReal(digits, bits))
         add(
             f"tau({n}) displayed digits +-1e-6",
@@ -204,15 +206,16 @@ def suite_constants(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckRes
         )
     # the source displays tau_6 = 0.268186, which no root of the defining
     # polynomial meets at 1e-6; the table above carries the corrected digits
-    err = abs(taus[6] - PrecisionReal("0.268186", bits))
+    err = abs(reports[6].tau_n - PrecisionReal("0.268186", bits))
     add(
         "tau(6) source display 0.268186 lies > 1e-6 from the certified root",
         err > PrecisionReal("1e-6", bits),
         f"err {format_real(err, 3)}",
     )
 
-    small, small_label = _residual_bound("1e-20", bits, tol)
-    for n, t in taus.items():
+    small, small_label = _residual_bound("1e-20", bits)
+    for n in tau_targets:
+        t = reports[n].tau_n
         half = PrecisionReal(n, bits) / 2
         resid = abs((half * t) ** n * t - (half + 1) * t + 1)
         add(
@@ -225,7 +228,7 @@ def suite_constants(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckRes
 
     sigma_targets = {4: "0.370629", 6: "0.268183"}
     for n, digits in sigma_targets.items():
-        s = bd.sigma(n, bits, tol)
+        s = reports[n].sigma_n
         err = abs(s - PrecisionReal(digits, bits))
         add(
             f"sigma({n}) displayed digits +-2e-6",
@@ -233,19 +236,17 @@ def suite_constants(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckRes
             f"sigma({n})={format_real(s, 12)}, err {format_real(err, 3)}",
         )
     for n in (4, 6, 8, 10, 12):
-        s = bd.sigma(n, bits, tol)
-        t = bd.tau(n, bits, tol)
+        s, t = reports[n].sigma_n, reports[n].tau_n
         ok = PrecisionReal(2, bits) / (n + 2) < s < t
         add(f"2/(n+2) < sigma({n}) < tau({n})", ok, f"sigma={format_real(s, 12)}")
 
-    th = bd.theta(bits, tol)
     add(
         "theta displayed digits +-5e-5",
         abs(th - PrecisionReal("1.7564", bits)) <= PrecisionReal("5e-5", bits),
         f"theta={format_real(th, 12)}",
     )
     resid = abs(exp(th) / th - 2 * sqrt(e_value(bits)))
-    bound, label = _residual_bound("1e-25", bits, tol)
+    bound, label = _residual_bound("1e-25", bits)
     add(f"theta residual < {label}", resid < bound, format_real(resid, 3))
     e1 = exp(PrecisionReal(1, bits))
     e3 = exp(PrecisionReal(3, bits)) / 3
@@ -254,7 +255,7 @@ def suite_constants(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckRes
 
     mu_ok, w_ok, details = True, True, []
     for n in range(2, 31):
-        w, m = bd.mu(n, bits, tol)
+        w, m = bd.mu(n, bits)
         d = w - PrecisionReal(n, bits)
         resid = abs((n - 1) * w / d - w + 1 - ((n - 1) / d) ** n)
         if resid >= small:
@@ -272,7 +273,7 @@ def suite_constants(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckRes
 
     rg_targets = {4: "0.3588", 6: "0.2540", 8: "0.1968"}
     for n, digits in rg_targets.items():
-        v = bd.regular_graph_lambda_bound(n, bits, tol)
+        v = reports[n].regular_graph_bound
         stated = PrecisionReal(digits, bits)
         ok = v < stated and stated - v <= PrecisionReal("5e-5", bits)
         add(
@@ -280,16 +281,16 @@ def suite_constants(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckRes
             ok,
             f"value={format_real(v, 10)}",
         )
-    v8 = bd.regular_graph_lambda_bound(8, bits, tol)
+    v8 = reports[8].regular_graph_bound
     add("regular-graph bound(8) < 2/(n+2) = 0.2", v8 < PrecisionReal("0.2", bits), format_real(v8, 10))
 
-    chi20 = bd.chi_estimate(20, bits, tol)
+    chi20 = reports[20].chi_estimate
     add(
         "chi estimate at n=20 near 2.879",
         abs(chi20 - PrecisionReal("2.879", bits)) < PrecisionReal("1e-3", bits),
         format_real(chi20, 8),
     )
-    chi4 = bd.chi_estimate(4, bits, tol)
+    chi4 = reports[4].chi_estimate
     add(
         "chi estimate at n=4 near 2.070",
         abs(chi4 - PrecisionReal("2.070", bits)) < PrecisionReal("1e-3", bits),
@@ -303,16 +304,15 @@ def suite_constants(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckRes
     alpha = (sqrt(PrecisionReal(5, bits)) - 1) / 2
     cl = bd.classical_low_dim(alpha, PrecisionReal(1, bits))
     ref = 1 / alpha**2
-    # two roundings of one value: 2^(8 - bits) is coarser below 108 bits
-    slack = max(PrecisionReal("1e-30", bits), PrecisionReal(2, bits) ** (8 - bits))
+    # two roundings of one value: the precision's floor is coarser below 108 bits
     add(
         "golden-ratio n=2 identity: uniform dual = 1/alpha^2",
-        _rel_err(cl.jarnik, ref) < slack,
+        _rel_err(cl.jarnik, ref) < at_precision("1e-30", bits),
         format_real(cl.jarnik, 12),
     )
 
-    ia4 = bd.integer_approx_exponents(4, bits, tol)
-    ia6 = bd.integer_approx_exponents(6, bits, tol)
+    ia4 = bd.integer_approx_exponents(4, bits)
+    ia6 = bd.integer_approx_exponents(6, bits)
     ok = (
         abs(ia4[0] - PrecisionReal("3.698", bits)) < PrecisionReal("1e-3", bits)
         and abs(ia4[1] - PrecisionReal("3.277", bits)) < PrecisionReal("1e-3", bits)
@@ -325,7 +325,7 @@ def suite_constants(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckRes
         f"{[format_real(v, 8) for v in (*ia4, *ia6)]}",
     )
 
-    lf = bd.lefths_solve(50, th / 50, bits, tol)
+    lf = bd.lefths_solve(50, th / 50, bits)
     add(
         "dual identity root near 2n at n=50",
         abs(lf / 50 - 2) < PrecisionReal("0.02", bits),
@@ -334,9 +334,7 @@ def suite_constants(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckRes
     return out
 
 
-def suite_corollary(
-    bits: int = 256, tol: Scalar = DEFAULT_TOL, count: int = 200, seed: int = 20260809
-) -> List[CheckResult]:
+def suite_corollary(bits: int = 256, count: int = 200, seed: int = 20260809) -> List[CheckResult]:
     rng = random.Random(seed)
     allowed = PrecisionReal("1e-10", bits)
     out: List[CheckResult] = []
@@ -344,7 +342,7 @@ def suite_corollary(
         n = rng.randint(2, 8)
         a = rng.uniform(1.0 / n, 0.9)
         alpha = PrecisionReal(a, bits)
-        beta = bd.beta_for_equality(n, alpha, bits, tol)
+        beta = bd.beta_for_equality(n, alpha, bits)
         ds = bd.dual_bounds(bd.mm_defect(n, alpha, beta, bits))
         rg = bd.regular_graph_duals(n, alpha, beta, bits)
         worst = max(
@@ -364,11 +362,11 @@ def suite_corollary(
     return out
 
 
-def suite_monotonicity(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckResult]:
+def suite_monotonicity(bits: int = 256) -> List[CheckResult]:
     out: List[CheckResult] = []
     for n in (4, 6):
-        s = bd.sigma(n, bits, tol)
-        t = bd.tau(n, bits, tol)
+        s = bd.sigma(n, bits)
+        t = bd.tau(n, bits)
         beta = PrecisionReal(2, bits) / n + PrecisionReal("1e-9", bits)
         values = []
         hypothesis = True
@@ -400,7 +398,7 @@ def suite_monotonicity(bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[Check
     return out
 
 
-def suite_oracle(bits: int = 256, tol: Scalar = DEFAULT_TOL, x_max: int = 100) -> List[CheckResult]:
+def suite_oracle(bits: int = 256, x_max: int = 100) -> List[CheckResult]:
     out: List[CheckResult] = []
     rng = random.Random(4817)
     for n in (1, 2, 3):
@@ -440,12 +438,12 @@ def suite_oracle(bits: int = 256, tol: Scalar = DEFAULT_TOL, x_max: int = 100) -
 
 def _rounding_tol(value: PrecisionReal, bits: int) -> PrecisionReal:
     """Slack for two roundings of one value: the coarser of 1e-60 and
-    2^(8 - bits) max(1, |value|), which is 1e-60 at 256 bits."""
+    at_precision(0, bits) max(1, |value|), which is 1e-60 at 256 bits."""
     scale = max(PrecisionReal(1, bits), abs(value))
-    return max(PrecisionReal("1e-60", bits), scale * PrecisionReal(2, bits) ** (8 - bits))
+    return max(PrecisionReal("1e-60", bits), scale * at_precision(0, bits))
 
 
-def suite_profile(bits: int = 256, tol: Scalar = DEFAULT_TOL, x_max: int = 300) -> List[CheckResult]:
+def suite_profile(bits: int = 256, x_max: int = 300) -> List[CheckResult]:
     out: List[CheckResult] = []
     n = 2
     target = _named_target("e", n, bits)
@@ -525,9 +523,9 @@ SUITE_NAMES: Dict[str, Callable[..., List[CheckResult]]] = {
 }
 
 
-def run_suite(name: str, bits: int = 256, tol: Scalar = DEFAULT_TOL) -> List[CheckResult]:
-    """Run one suite at bits, every root solved to the relative width tol
-    (the oracle and profile suites solve none)."""
+def run_suite(name: str, bits: int = 256) -> List[CheckResult]:
+    """Run one suite at bits, every root solved to at_precision(DEFAULT_TOL,
+    bits) (the oracle and profile suites solve none)."""
     if name not in SUITE_NAMES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITE_NAMES)}")
-    return SUITE_NAMES[name](bits, tol)
+    return SUITE_NAMES[name](bits)

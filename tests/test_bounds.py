@@ -1,4 +1,7 @@
+import random
+from dataclasses import fields
 from fractions import Fraction
+from functools import lru_cache
 from unittest.mock import patch
 
 import pytest
@@ -6,8 +9,10 @@ from mpmath import mp, mpf
 
 from dioph import bounds as bd
 from dioph.numerics import (
+    DEFAULT_TOL,
     InvalidPoint,
     PrecisionReal,
+    at_precision,
     e_value,
     exp,
     scan_brackets,
@@ -101,6 +106,12 @@ class TestMmDefect:
         T = sum((z**j for j in range(2, 4)), z)
         assert close(ctx.S, S) and close(ctx.T, T)
 
+    def test_hypothesis_check_below_eight_bits(self):
+        # the threshold's round-off guard is at_precision(0, p) = 4 at 6 bits;
+        # epsilon = -8 at (10, 0.9, 0.9) is beyond the zero test and reaches it
+        assert isinstance(bd.mm_defect(2, "0.3", "0.5", 6).hypothesis_satisfied(), bool)
+        assert bd.mm_defect(10, "0.9", "0.9", 6).hypothesis_satisfied() is False
+
 
 class TestDualBounds:
     def test_dirichlet_collapse_exact(self):
@@ -170,6 +181,29 @@ class TestRegularGraphDuals:
     def test_rejects_off_graph_pairs(self):
         with pytest.raises(bd.NotRegularGraph):
             bd.regular_graph_duals(4, "0.37", "0.5")
+
+    def test_accepts_beta0_solved_at_64_bits(self):
+        # the corollary suite's first draw: |epsilon| = 3.8e-19, above 1e-20
+        # but within the 64-bit zero bound at_precision(1e-20, 64) = 2^-56
+        alpha = PR(0.8401017289768682, 64)
+        beta = bd.beta_for_equality(2, alpha, 64)
+        assert PR("1e-20") < abs(bd.mm_defect(2, alpha, beta).epsilon) <= at_precision(0, 64)
+        bd.regular_graph_duals(2, alpha, beta)
+
+    @pytest.mark.parametrize("bits", [64, 96])
+    def test_rejects_off_graph_pairs_below_256_bits(self, bits):
+        # the zero test coarsens with the precision, to 2^-56 at 64 bits
+        with pytest.raises(bd.NotRegularGraph, match=f"not zero at {bits} bits"):
+            bd.regular_graph_duals(4, "0.37", "0.5", bits)
+
+    def test_accepts_beta0_solved_at_96_bits(self):
+        # the draws of the corollary suite; beta0 solved to the 96-bit
+        # default 2^-88 leaves a defect the zero test must accept
+        rng = random.Random(20260809)
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            alpha = PR(rng.uniform(1.0 / n, 0.9), 96)
+            bd.regular_graph_duals(n, alpha, bd.beta_for_equality(n, alpha, 96))
 
 
 class TestBetaForEquality:
@@ -593,3 +627,41 @@ class TestConstantsReport:
         rep = bd.constants_report(n)
         assert calls == {"mu": 1, "tau": 1, "beta_for_equality": 0}
         assert rep.sigma_n is not None and rep.regular_graph_bound is not None
+
+
+def report_values(rep: bd.ConstantsReport):
+    return tuple(getattr(rep, f.name) for f in fields(rep) if isinstance(getattr(rep, f.name), PR))
+
+
+# every public solver at one input, as the tuple of the values it returns
+SOLVERS_AT = {
+    "beta_for_equality": lambda bits: (bd.beta_for_equality(4, "0.3", bits),),
+    "tau": lambda bits: (bd.tau(4, bits),),
+    "mu": lambda bits: tuple(bd.mu(4, bits)),
+    "sigma": lambda bits: (bd.sigma(4, bits),),
+    "theta": lambda bits: (bd.theta(bits),),
+    "regular_graph_lambda_bound": lambda bits: (bd.regular_graph_lambda_bound(4, bits),),
+    "chi_estimate": lambda bits: (bd.chi_estimate(4, bits),),
+    "lefths_solve": lambda bits: (bd.lefths_solve(50, "0.03125", bits),),
+    "integer_approx_exponents": lambda bits: bd.integer_approx_exponents(4, bits),
+    "constants_report": lambda bits: report_values(bd.constants_report(4, bits)),
+}
+
+
+@lru_cache(maxsize=None)
+def solved_at(name: str, bits: int):
+    return SOLVERS_AT[name](bits)
+
+
+class TestDefaultTolAtEveryPrecision:
+    @pytest.mark.parametrize("bits", [64, 72, 80, 96, 128])
+    @pytest.mark.parametrize("name", sorted(SOLVERS_AT))
+    def test_solver_agrees_with_256_bits(self, name, bits):
+        # the default tol is at_precision(DEFAULT_TOL, bits); a fixed 1e-30
+        # is below what bisection reaches under about 100 bits
+        got, ref = solved_at(name, bits), solved_at(name, 256)
+        bound = 1000 * at_precision(DEFAULT_TOL, bits)
+        assert len(got) == len(ref) > 0
+        for g, r in zip(got, ref):
+            assert g.precision_bits == bits
+            assert abs(g - r) <= bound * abs(r), (g, r)

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dioph import bounds as bd
-from dioph.numerics import PrecisionReal
+from dioph.numerics import PrecisionReal, at_precision
 
 PR = PrecisionReal
 
@@ -130,7 +130,7 @@ def solved_bracket(solve):
 def test_beta0_bracket_has_certified_endpoint_signs(n, frac, bits):
     alpha = PR(1, bits) / n + (1 - PR(1, bits) / n) * PR(frac, bits)
     assume(n * alpha >= 1)  # 1/n may round down
-    tol = PR(2, bits) ** (8 - bits)
+    tol = at_precision(0, bits)
     beta, solved = solved_bracket(lambda: bd.beta_for_equality(n, alpha, bits, tol))
     if solved is None:
         assert beta == alpha  # alpha = 1/n exactly
@@ -148,7 +148,7 @@ def test_beta0_bracket_has_certified_endpoint_signs(n, frac, bits):
 )
 @example(n=50, om=10.0, bits=64)  # rhs ~ 1e52: the margin ~ n + 1 at t = rhs rounds away
 def test_lefths_bracket_has_certified_endpoint_signs(n, om, bits):
-    tol = PR(2, bits) ** (8 - bits)
+    tol = at_precision(0, bits)
     root, solved = solved_bracket(lambda: bd.lefths_solve(n, PR(om, bits), bits, tol))
     if solved is None:
         assert root == n  # the right side is at the branch point's minimum

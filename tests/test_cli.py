@@ -82,6 +82,13 @@ class TestBoundsCommand:
         assert exc.value.code == 2
         assert "too coarse to separate tau(4) from sigma(4)" in capsys.readouterr().err
 
+    def test_nonpositive_tol_is_usage_error(self, capsys):
+        # the default tol is left to each solve; a given one is still checked
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bounds", "--n", "4", "--tol", "0")
+        assert exc.value.code == 2
+        assert "tol must parse as a positive real" in capsys.readouterr().err
+
     def test_bad_range_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("bounds", "--n", "8..4")
@@ -254,6 +261,33 @@ class TestVerifyCommand:
         checks = [json.loads(l) for l in out.strip().splitlines()]
         assert code == 0
         assert checks and all(c["ok"] for c in checks)
+
+    def test_constants_suite_reads_constants_report(self, monkeypatch):
+        # tau, sigma, the regular-graph bound and chi come from one report
+        # per n; only integer_approx_exponents, the function its check
+        # tests, solves sigma and theta on its own
+        from dioph import bounds as bd
+        from dioph.suites import suite_constants
+
+        calls = dict.fromkeys(
+            ("constants_report", "theta", "sigma", "regular_graph_lambda_bound", "chi_estimate"), 0
+        )
+        for name in calls:
+            original = getattr(bd, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(bd, name, counted)
+        assert all(c.ok for c in suite_constants())
+        assert calls == {
+            "constants_report": 7,
+            "theta": 3,
+            "sigma": 2,
+            "regular_graph_lambda_bound": 0,
+            "chi_estimate": 0,
+        }
 
     def test_constants_suite_flags_only_the_known_discrepancy(self):
         # the source's displayed 6-dimensional tau digits 0.268186 disagree

@@ -4,11 +4,13 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from dioph.numerics import (
+    DEFAULT_TOL,
     Bracket,
     InvalidBracket,
     InvalidPoint,
     NoConvergence,
     PrecisionReal,
+    at_precision,
     e_value,
     exp,
     find_root,
@@ -154,6 +156,34 @@ class TestFindRoot:
         f = lambda t: t * t * t - t - 1
         b = Bracket(PR(1), PR(2), -1, 1)
         assert find_root(f, b, "1e-30") == find_root(f, b, "1e-30")
+
+    @pytest.mark.parametrize("bits", [64, 72, 80, 96, 128, 256])
+    def test_default_tol_is_reachable_at_every_precision(self, bits):
+        # a fixed 1e-30 stalls below about 100 bits
+        b = Bracket(PR(1, bits), PR(2, bits), -1, 1)
+        root = find_root(lambda t: t * t - 2, b)
+        assert root == find_root(lambda t: t * t - 2, b, at_precision(DEFAULT_TOL, bits))
+        assert abs(root - sqrt(PR(2, 512))) <= 2 * at_precision(DEFAULT_TOL, bits)
+
+
+class TestAtPrecision:
+    def test_stated_value_at_256_bits(self):
+        for stated in ("1e-30", "1e-20", "1e-60"):
+            assert at_precision(stated, 256) == PR(stated, 256)
+
+    def test_precision_floor_below_it(self):
+        assert at_precision(DEFAULT_TOL, 64) == PR(2) ** -56
+        assert at_precision("1e-20", 64) == PR(2) ** -56
+        assert at_precision("1e-20", 75) == PR("1e-20", 75)
+        assert at_precision(0, 256) == PR(2) ** -248
+
+    def test_result_carries_the_precision(self):
+        assert at_precision("0.1", 64).precision_bits == 64
+        assert at_precision("0.1", 64) == PR("0.1", 64)
+
+    def test_below_eight_bits(self):
+        # the floor exceeds 1 there; it is still a power of two, not an error
+        assert at_precision(0, 6) == 4
 
 
 class TestScan:
