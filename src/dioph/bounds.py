@@ -90,6 +90,14 @@ def _resolve_bits(precision_bits: Optional[int], *vals) -> int:
     return max(carried) if carried else DEFAULT_PRECISION_BITS
 
 
+def _positive_alpha(alpha: Scalar, bits: int) -> PrecisionReal:
+    """alpha at bits; DomainError unless it is finite and positive."""
+    a = _as_real(alpha, bits)
+    if not a.is_finite or a.sign() <= 0:
+        raise DomainError("alpha must be finite and positive")
+    return a
+
+
 def _geometric_sum(first: PrecisionReal, ratio: PrecisionReal, count: int) -> PrecisionReal:
     """first * (1 + ratio + ... + ratio^(count-1)), exact special case at ratio 1."""
     bits = max(first.precision_bits, ratio.precision_bits)
@@ -172,10 +180,10 @@ def mm_defect(
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
     bits = _resolve_bits(precision_bits, alpha, beta)
-    a = _as_real(alpha, bits)
+    a = _positive_alpha(alpha, bits)
     b = _as_real(beta, bits)
-    if a.sign() <= 0:
-        raise DomainError("alpha must be positive")
+    if b.is_nan:
+        raise DomainError("beta must not be NaN")
     if a > b:
         raise DomainError("alpha must not exceed beta")
 
@@ -280,9 +288,7 @@ def beta_for_equality(
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
     bits = _resolve_bits(precision_bits, alpha)
-    a = _as_real(alpha, bits)
-    if a.sign() <= 0:
-        raise DomainError("alpha must be positive")
+    a = _positive_alpha(alpha, bits)
     if a >= 1:
         raise DomainError("alpha must be below 1 (at 1 the ordinary exponent is infinite)")
 

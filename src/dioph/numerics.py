@@ -388,7 +388,7 @@ def format_real(x: Scalar, significant: int = 12) -> str:
     if r.raw == fzero:
         return "0"
     sign, man, expo, _ = r.raw
-    with decimal.localcontext() as ctx:
+    with decimal.localcontext(Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN) as ctx:
         ctx.prec = significant + 20
         d = decimal.Decimal(int(man)) * (decimal.Decimal(2) ** expo)
         if sign:

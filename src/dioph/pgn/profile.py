@@ -14,20 +14,21 @@ without building the pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from math import inf
 from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from mpmath.libmp import from_man_exp, mpf_cmp
+from mpmath.libmp import mpf_cmp
 
-from ..numerics import RND, PrecisionReal, Scalar
+from ..numerics import PrecisionReal, Scalar
 from .intrank import IntBasis
 from .vectors import (
     ApproxVector,
     InsufficientRank,
     MinimalPointSequence,
-    RationalDependence,
     TargetPoint,
+    _error_vector,
+    _pool_boxes,
 )
 
 __all__ = [
@@ -121,74 +122,35 @@ def undominated_candidates(
     widen)`` that `_undominated` keeps, in (x, y) order, and the size of
     that pool, which is never built.
 
-    The pool is offered to a `_Frontier` in its own order: the unit-type
-    vectors (0, e_i), then x = 1, ..., x_max, each x's +-widen box around
-    the nearest-integer vector in y order, with (1, 0, ..., 0) merged into
-    the x = 1 box.  Errors are exact integer numerators D over 2^E
-    (`TargetPoint.scaled`) and become vectors only where the frontier may
-    keep them.  Every Y is an integer over 2^E rounded to p bits, so it is
-    itself an integer over 2^E; an error at or above the largest basis Y
-    rounds (monotonely) to a Y at least as large, so it is dominated.  The
-    nearest-integer vector has the smallest numerator in its box, because
-    |D_i| <= 2^(E-1) <= |D_i - o 2^E| for every offset o != 0, so one such
-    comparison skips a whole box.  Every other error is rounded once and
-    offered like any pool vector, so ties fall as in `_undominated`; the
-    records of the pool are all kept, since no earlier vector has a Y as
-    small.  Raises RationalDependence at the pool's first zero error.
+    The boxes of `_pool_boxes` are offered to a `_Frontier` in the pool's
+    order, and their exact error numerators D over 2^E become vectors only
+    where the frontier may keep them.  Every Y is an integer over 2^E
+    rounded to p bits, so it is itself an integer over 2^E; an error at or
+    above the largest basis Y rounds (monotonely) to a Y at least as large,
+    so it is dominated, and a box whose smallest numerator is that large is
+    skipped whole.  Every other error is rounded once and offered like any
+    pool vector, so ties fall as in `_undominated`; the records of the pool
+    are all kept, since no earlier vector has a Y as small.  Raises
+    RationalDependence at the pool's first zero error.
     """
-    if x_max < 1:
-        raise ValueError("x_max must be >= 1")
-    if widen < 0:
-        raise ValueError("widen must be >= 0")
-    n, p = target.n, target.precision_bits
-    X, E = target.scaled()
-    one = 1 << E
-    steps = range(-widen, widen + 1)
-    frontier = _Frontier(n)
+    p, E = target.precision_bits, target.scaled()[1]
+    frontier = _Frontier(target.n)
     kept: List[ApproxVector] = []
-    bound: Optional[int] = None
-
-    def offer(x: int, y: Tuple[int, ...], D: int) -> None:
-        nonlocal bound
-        if bound is not None and D >= bound:
-            return
-        v = ApproxVector(x, y, PrecisionReal._make(from_man_exp(D, -E, p, RND), p), p)
-        if frontier.offer(v):
-            kept.append(v)
-            if frontier.ceiling is not None:
-                _, man, exp, _ = frontier.ceiling
-                bound = man << (exp + E)  # the largest basis Y times 2^E
-
-    for i in reversed(range(n)):
-        offer(0, tuple(int(j == i) for j in range(n)), one)
-    size = n + x_max * len(steps) ** n
-    for x in range(1, x_max + 1):
-        ys, Ds = [], []
-        for Xi in X:
-            # D = x X_i - base 2^E; the offset o moves it by -o 2^E
-            base, D = divmod(x * Xi, one)
-            if 2 * D > one or (2 * D == one and base & 1):
-                base, D = base + 1, D - one
-            ys.append(base)
-            Ds.append(D)
-        low = max(map(abs, Ds))
-        if low == 0:
-            raise RationalDependence(f"zero approximation error at {(x, *ys)}")
-        if bound is not None and low >= bound:
+    bound = inf  # the largest basis Y times 2^E once the basis is full
+    size = 0
+    for x, low, count, entries in _pool_boxes(target, x_max, widen):
+        size += count
+        if low >= bound:
             continue
-        box = zip(
-            product(*([b + o for o in steps] for b in ys)),
-            map(max, product(*([abs(D - (o << E)) for o in steps] for D in Ds))),
-        )
-        if x == 1:
-            box = dict(box)
-            origin = (0,) * n
-            if origin not in box:
-                box[origin] = max(map(abs, X))
-                size += 1
-            box = sorted(box.items())
-        for y, D in box:
-            offer(x, y, D)
+        for y, D in entries():
+            if D >= bound:
+                continue
+            v = _error_vector(x, y, D, E, p)
+            if frontier.offer(v):
+                kept.append(v)
+                if frontier.ceiling is not None:
+                    _, man, exp, _ = frontier.ceiling
+                    bound = man << (exp + E)
     return kept, size
 
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby, product
 from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from mpmath.libmp import from_man_exp, mpf_cmp
 
@@ -54,6 +53,10 @@ class TargetPoint:
     coords: Tuple[PrecisionReal, ...]
     source: str
     precision_bits: int
+
+    def __post_init__(self):
+        if not all(c.is_finite for c in self.coords):
+            raise ValueError(f"the coordinates of {self.source} must be finite")
 
     @classmethod
     def veronese(
@@ -122,12 +125,9 @@ class ApproxVector:
     def from_target(cls, target: TargetPoint, x: int, y: Sequence[int]) -> "ApproxVector":
         """Compute Y = max_i |x xi_i - y_i|, exact up to one rounding to the
         target's precision."""
-        p = target.precision_bits
         X, E = target.scaled()
         D = max(abs(int(x) * Xi - (int(yi) << E)) for Xi, yi in zip(X, y))
-        if D == 0:
-            raise RationalDependence(f"zero approximation error at {(x, *y)}")
-        return cls(x, y, PrecisionReal._make(from_man_exp(D, -E, p, RND), p), p)
+        return _error_vector(x, y, D, E, target.precision_bits)
 
     def ints(self) -> Tuple[int, ...]:
         """The full integer vector (x, y_1, ..., y_n)."""
@@ -168,49 +168,73 @@ class MinimalPointSequence:
         return self.points[i]
 
 
-def enumerate_candidates(target: TargetPoint, x_max: int, widen: int = 0) -> List[ApproxVector]:
-    """Candidate pool: per x the nearest-integer vector plus a +-widen box
-    around it, together with the n+1 unit-type support vectors; deduplicated
-    and ordered by (x, y).
+def _error_vector(x: int, y: Sequence[int], D: int, E: int, p: int) -> ApproxVector:
+    """The vector (x, y) whose error is D / 2^E, rounded once to p bits.
+    Raises RationalDependence if D is zero."""
+    if D == 0:
+        raise RationalDependence(f"zero approximation error at {(x, *y)}")
+    return ApproxVector(x, y, PrecisionReal._make(from_man_exp(D, -E, p, RND), p), p)
 
-    Every error is an exact integer over 2^E (see `TargetPoint.scaled`),
-    rounded once to the working precision; the nearest integer rounds ties
-    to even.  Raises RationalDependence as soon as any error is exactly zero.
+
+def _pool_boxes(target: TargetPoint, x_max: int, widen: int) -> Iterator[tuple]:
+    """The candidate pool as boxes (x, low, size, entries) in (x, y) order:
+    each unit-type vector (0, e_i), then per x = 1, ..., x_max the +-widen
+    box around the nearest-integer vector (ties to even), with
+    (1, 0, ..., 0) merged into the x = 1 box.  entries() lists the (y, D)
+    pairs in y order, the errors being D / 2^E (`TargetPoint.scaled`); like
+    a `groupby` group it is valid only until the next box is drawn.  low is
+    the nearest-integer vector's D, the smallest of its box, because
+    |D_i| <= 2^(E-1) <= |D_i - o 2^E| for every offset o != 0.  A box costs
+    one divmod per coordinate until it is listed.
     """
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
     if widen < 0:
         raise ValueError("widen must be >= 0")
-    n, p = target.n, target.precision_bits
+    n = target.n
     X, E = target.scaled()
     one = 1 << E
+    half = one >> 1  # D > half is 2 D > one, also when E = 0
     steps = range(-widen, widen + 1)
+    size = len(steps) ** n
 
-    out: List[ApproxVector] = []
+    def entries() -> Iterator[tuple]:
+        # y = bases + o, o in steps^n; x xi_i - y_i has numerator D_i - o_i 2^E
+        return zip(
+            product(*([b + o for o in steps] for b in bases)),
+            map(max, product(*([abs(D - (o << E)) for o in steps] for D in Ds))),
+        )
+
+    for i in reversed(range(n)):
+        yield 0, one, 1, [(tuple(int(j == i) for j in range(n)), one)].__iter__
     for x in range(1, x_max + 1):
-        ys, errs = [], []
+        bases, Ds = [], []
         for Xi in X:
             # D = x X_i - base 2^E; the offset o moves it by -o 2^E
             base, D = divmod(x * Xi, one)
-            if 2 * D > one or (2 * D == one and base & 1):
+            if D > half or (2 * D == one and base & 1):
                 base, D = base + 1, D - one
-            ys.append([base + o for o in steps])
-            errs.append([abs(D - (o << E)) for o in steps])
-        for y, ds in zip(product(*ys), product(*errs)):
-            worst = max(ds)
-            if worst == 0:
-                raise RationalDependence(f"zero approximation error at {(x, *y)}")
-            out.append(ApproxVector(x, y, PrecisionReal._make(from_man_exp(worst, -E, p, RND), p), p))
+            bases.append(base)
+            Ds.append(D)
+        low = max(map(abs, Ds))
+        if x == 1 and max(map(abs, bases)) > widen:  # (1, 0, ..., 0) is outside the box
+            yield x, low, size + 1, sorted([*entries(), ((0,) * n, max(map(abs, X)))]).__iter__
+        else:
+            yield x, low, size, entries
 
-    # unit-type support vectors: (0, e_i) first in (x, y) order, then
-    # (1, 0, ..., 0) unless the x = 1 box already holds it
-    key = attrgetter("x", "y")
-    origin = (0,) * n
-    at = bisect_left(out, (1, origin), key=key)
-    if at == len(out) or key(out[at]) != (1, origin):
-        out.insert(at, ApproxVector.from_target(target, 1, origin))
-    units = [tuple(int(j == i) for j in range(n)) for i in reversed(range(n))]
-    return [ApproxVector.from_target(target, 0, e) for e in units] + out
+
+def enumerate_candidates(target: TargetPoint, x_max: int, widen: int = 0) -> List[ApproxVector]:
+    """Candidate pool: per x the nearest-integer vector plus a +-widen box
+    around it, together with the n+1 unit-type support vectors; deduplicated
+    and ordered by (x, y) (see `_pool_boxes`).
+
+    Every error is an exact integer over 2^E (see `TargetPoint.scaled`),
+    rounded once to the working precision.  Raises RationalDependence as
+    soon as any error is exactly zero.
+    """
+    p, E = target.precision_bits, target.scaled()[1]
+    boxes = _pool_boxes(target, x_max, widen)
+    return [_error_vector(x, y, D, E, p) for x, _, _, entries in boxes for y, D in entries()]
 
 
 def minimal_points(candidates: Iterable[ApproxVector]) -> MinimalPointSequence:

@@ -98,6 +98,14 @@ class TestMmDefect:
         with pytest.raises(bd.DomainError):
             bd.mm_defect(0, "0.5", "0.5")
 
+    @pytest.mark.parametrize(
+        "alpha, beta", [("inf", "inf"), ("nan", "1"), ("0.5", "nan"), ("nan", "nan")]
+    )
+    def test_non_finite_alpha_or_nan_beta_is_a_domain_error(self, alpha, beta):
+        # each used to reach a comparison with NaN and raise a bare ValueError
+        with pytest.raises(bd.DomainError):
+            bd.mm_defect(2, alpha, beta)
+
     def test_derived_quantity_formulas(self):
         # S and T match their defining sums at a generic valid point
         ctx = bd.mm_defect(4, "0.3706", "0.5")
@@ -240,6 +248,9 @@ class TestBetaForEquality:
             bd.beta_for_equality(4, "0.2")  # below 1/n
         with pytest.raises(bd.DomainError):
             bd.beta_for_equality(4, 1)
+        for alpha in ("nan", "inf", "-inf"):
+            with pytest.raises(bd.DomainError):
+                bd.beta_for_equality(4, alpha)
 
 
 TAU_TRUE = {

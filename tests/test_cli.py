@@ -118,8 +118,11 @@ class TestTheoremNewCommand:
         d = json.loads(out)
         assert d["error"] == "HypothesisViolated"
 
-    def test_domain_error_exits_3(self):
-        code, out = run_cli("theorem-new", "--n", "4", "--alpha", "0.6", "--beta", "0.5")
+    @pytest.mark.parametrize(
+        "alpha, beta", [("0.6", "0.5"), ("inf", "inf"), ("nan", "1"), ("0.5", "nan")]
+    )
+    def test_domain_error_exits_3(self, alpha, beta):
+        code, out = run_cli("theorem-new", "--n", "4", "--alpha", alpha, "--beta", beta)
         assert code == 3
         assert json.loads(out)["error"] == "DomainError"
 
@@ -163,6 +166,16 @@ class TestSimulateCommand:
         )
         assert code == 4
         assert json.loads(out)["error"] == "RationalDependence"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_target_is_usage_error(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "simulate", "--target", f"veronese:{value}", "--n", "2",
+                "--xmax", "10", "--out", str(tmp_path),
+            )
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_xmax_cap(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

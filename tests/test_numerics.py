@@ -98,6 +98,9 @@ class TestFormatReal:
         assert format_real(PR("123.456789012345"), 12) == "123.456789012"
         assert format_real(PR(0), 12) == "0"
         assert format_real(PR(float("inf"))) == "inf"
+        # far outside decimal's default exponent range of +-999999
+        assert format_real(PR("1e-400000000"), 12) == "1.00000000000e-400000000"
+        assert format_real(PR("-2.5e400000000"), 3) == "-2.50e+400000000"
 
     def test_round_half_even(self):
         assert format_real(PR("2.5"), 1) == "2"

@@ -255,6 +255,9 @@ coordinate = st.one_of(
 @example(coords=["5.3"], widen=1, x_max=50, bits=256)
 @example(coords=["0.25", "0.1"], widen=2, x_max=40, bits=64)
 @example(coords=["-17.75"], widen=1, x_max=2, bits=64)  # a box minimum one below the bound
+# (1, 0, ..., 0) lies outside the x = 1 box and is merged into it; 2.5 is a tie
+@example(coords=["5.3", "-7.1"], widen=0, x_max=400, bits=256)
+@example(coords=["2.5", "-3.7", "11.2"], widen=1, x_max=60, bits=128)
 def test_stream_matches_the_pool(coords, widen, x_max, bits):
     # kept vectors, records and pool size of the stream against the whole
     # pool; x_max is cut so that no pool exceeds 2,000 vectors
@@ -272,6 +275,13 @@ class TestUndominatedCandidates:
         assert size == 1 + 200 * 3 + 1
         assert (1, (0,)) in [(v.x, v.y) for v in kept]
         assert stream_outcome(t, 200, 1) == pool_outcome(t, 200, 1)
+
+    @pytest.mark.parametrize("coords", [["5.3", "-7.1"], ["2.5", "-3.7", "11.2"]])
+    def test_support_vector_merged_beyond_n1(self, coords):
+        t = pgn.TargetPoint.explicit(coords)
+        pool = pgn.enumerate_candidates(t, 20, widen=1)
+        assert (1, (0,) * t.n) in [(v.x, v.y) for v in pool]
+        assert pgn.undominated_candidates(t, 20, widen=1)[1] == len(pool) == t.n + 20 * 3**t.n + 1
 
     @pytest.mark.parametrize(
         "coords, message",

@@ -71,6 +71,14 @@ class TestTargetPoint:
         t = pgn.TargetPoint.explicit(["0.25", "0.5"], 128)
         assert t.n == 2 and t.precision_bits == 128
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinates_rejected(self, bad):
+        # scaled() would read them as 0 and report a bogus RationalDependence
+        with pytest.raises(ValueError, match="must be finite"):
+            pgn.TargetPoint.veronese(PR(bad), 2)
+        with pytest.raises(ValueError, match="must be finite"):
+            pgn.TargetPoint.explicit(["0.5", bad])
+
     def test_label(self):
         t = pgn.TargetPoint.veronese(e_value(), 2, label="e")
         assert t.source == "veronese(e)"
