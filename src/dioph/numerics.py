@@ -388,8 +388,10 @@ def format_real(x: Scalar, significant: int = 12) -> str:
     if r.raw == fzero:
         return "0"
     sign, man, expo, _ = r.raw
-    with decimal.localcontext(Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN) as ctx:
+    with decimal.localcontext() as ctx:
         ctx.prec = significant + 20
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
         d = decimal.Decimal(int(man)) * (decimal.Decimal(2) ** expo)
         if sign:
             d = -d
