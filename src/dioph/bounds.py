@@ -108,6 +108,14 @@ def _geometric_sum(first: PrecisionReal, ratio: PrecisionReal, count: int) -> Pr
     return first * (1 - ratio**count) / (1 - ratio)
 
 
+def _geometric_slope(x: PrecisionReal, m: int) -> PrecisionReal:
+    """d/dx (1 + x + ... + x^m) = 1 + 2x + ... + m x^(m-1), by Horner."""
+    acc = PrecisionReal(m, x.precision_bits)
+    for k in range(m - 1, 0, -1):
+        acc = acc * x + k
+    return acc
+
+
 def _epsilon_value(n: int, alpha: PrecisionReal, beta: PrecisionReal) -> PrecisionReal:
     """1 - sum_{j=1}^{n} alpha^j / beta^(j-1), via the geometric closed form."""
     return 1 - _geometric_sum(alpha, alpha / beta, n)
@@ -271,17 +279,20 @@ def beta_for_equality(
     precision_bits: Optional[int] = None,
     tol: Optional[Scalar] = None,
 ) -> PrecisionReal:
-    """The unique beta >= alpha with zero defect, certified by bisection.
+    """The unique beta >= alpha with zero defect, certified by find_root
+    with Newton steps.
 
     The defect increases with beta.  It is 1 - n alpha < 0 at beta = alpha,
     and at beta = 2 alpha / (1 - alpha), where alpha/beta = (1 - alpha)/2,
     it exceeds 1 - alpha / (1 - alpha/beta) = (1 - alpha)/(1 + alpha) > 0.
     (At alpha / (1 - alpha) the defect is (1 - alpha)^n, which rounds to
-    zero at 64 bits already for n = 30, alpha = 0.8.)
+    zero at 64 bits already for n = 30, alpha = 0.8.)  With r = alpha/beta,
+    the defect is 1 - alpha (1 + r + ... + r^(n-1)) and its derivative in
+    beta is r^2 (1 + 2r + ... + (n-1) r^(n-2)).
 
     The result is the midpoint of the final bracket, so its defect may be
-    negative at the tol level: at 256 bits (tol 1e-30), n = 4 and
-    alpha = 0.8125 give epsilon = -1.36e-32.  ``BoundContext.zero_defect``
+    negative at the tol level: at 64 bits (tol 2^-56), n = 2 and
+    alpha = 0.51 give epsilon = -3.14e-18.  ``BoundContext.zero_defect``
     counts that as zero; a caller that needs epsilon >= 0 must solve at a
     tighter tol.
     """
@@ -299,7 +310,12 @@ def beta_for_equality(
         raise DomainError("alpha below 1/n: no zero-defect beta with beta >= alpha")
 
     f = lambda b: _epsilon_value(n, a, b)
-    return find_root(f, Bracket(a, 2 * a / (1 - a), -1, 1), tol)
+
+    def df(b: PrecisionReal) -> PrecisionReal:
+        r = a / b
+        return r * r * _geometric_slope(r, n - 1)
+
+    return find_root(f, Bracket(a, 2 * a / (1 - a), -1, 1), tol, df=df)
 
 
 # -- even-n constants ---------------------------------------------------------
@@ -323,8 +339,9 @@ def tau(
     half_n = PrecisionReal(n, bits) / 2
 
     g = lambda u: _geometric_sum(u, u, n) - half_n
+    dg = lambda u: _geometric_slope(u, n)
     lo = PrecisionReal(n, bits) / (n + 2)
-    u_root = find_root(g, Bracket(lo, one, -1, 1), tol)
+    u_root = find_root(g, Bracket(lo, one, -1, 1), tol, df=dg)
     return 2 * u_root / n
 
 
@@ -362,8 +379,9 @@ def mu(
         raise DomainError("n must be an integer >= 2")
     bits = precision_bits or DEFAULT_PRECISION_BITS
     h = lambda u: n * u ** (n - 1) - (n - 1) * u ** (n + 1) - 1
+    dh = lambda u: (n - 1) * u ** (n - 2) * (n - (n + 1) * u**2)
     right = PrecisionReal(n, bits) / (n + 1)
-    u = find_root(h, Bracket(PrecisionReal(0, bits), right, -1, 1), tol)
+    u = find_root(h, Bracket(PrecisionReal(0, bits), right, -1, 1), tol, df=dh)
     w = n + (n - 1) * u
     floor = PrecisionReal(2 * n - 2, bits)
     return MuValue(w, w if w > floor else floor)
@@ -449,7 +467,9 @@ def theta(
     bits = precision_bits or DEFAULT_PRECISION_BITS
     target = 2 * sqrt(e_value(bits))
     f = lambda t: exp(t) / t - target
-    return find_root(f, Bracket(PrecisionReal(1, bits), PrecisionReal(3, bits), -1, 1), tol)
+    df = lambda t: exp(t) * (t - 1) / t**2
+    one, three = PrecisionReal(1, bits), PrecisionReal(3, bits)
+    return find_root(f, Bracket(one, three, -1, 1), tol, df=df)
 
 
 def regular_graph_lambda_bound(
@@ -484,7 +504,8 @@ def _regular_graph_bound(
     """regular_graph_lambda_bound(n) from mu_n already in hand."""
     one = PrecisionReal(1, bits)
     g = lambda s: _geometric_sum(one, s, n) - mu_n
-    s = find_root(g, Bracket(one, mu_n, -1, 1), tol)
+    dg = lambda s: _geometric_slope(s, n - 1)
+    s = find_root(g, Bracket(one, mu_n, -1, 1), tol, df=dg)
     return s ** (n - 1) / mu_n
 
 
@@ -599,10 +620,13 @@ def lefths_solve(
     def f(t: PrecisionReal) -> PrecisionReal:
         return (1 + t) * (1 + 1 / t) ** n - rhs
 
+    def df(t: PrecisionReal) -> PrecisionReal:
+        return (1 + 1 / t) ** n * (t - n) / t
+
     t0 = PrecisionReal(n, bits)
     if f(t0).sign() >= 0:
         return t0  # right side at (or numerically at) the minimum
-    return find_root(f, Bracket(t0, 2 * rhs, -1, 1), tol)
+    return find_root(f, Bracket(t0, 2 * rhs, -1, 1), tol, df=df)
 
 
 def integer_approx_exponents(

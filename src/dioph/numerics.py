@@ -420,18 +420,30 @@ class Bracket:
             raise InvalidBracket("endpoint signs agree; no root certified")
 
 
-def _width_ok(lo: PrecisionReal, hi: PrecisionReal, tol: PrecisionReal) -> bool:
-    width = hi - lo
-    scale = max(abs(lo), abs(hi), PrecisionReal(1, tol.precision_bits))
-    return width <= tol * scale
+def _target_width(lo: PrecisionReal, hi: PrecisionReal, tol: PrecisionReal) -> PrecisionReal:
+    """tol times the larger of |lo|, |hi| and 1: the width a root is solved to."""
+    return tol * max(abs(lo), abs(hi), PrecisionReal(1, tol.precision_bits))
 
 
 def find_root(
     f: Callable[[PrecisionReal], Scalar],
     bracket: Bracket,
     tol: Optional[Scalar] = None,
+    df: Optional[Callable[[PrecisionReal], Scalar]] = None,
 ) -> PrecisionReal:
-    """Bisect a certified bracket until its width is below tol (relative).
+    """Shrink a certified bracket until its width is below tol (relative)
+    and return its midpoint.
+
+    Without df every step bisects.  With df, the derivative of f, each step
+    tries a Newton step from the latest iterate, which is always an end of
+    the bracket (at first the end where |f| is smaller).  The step is taken when it lands strictly inside the
+    bracket and is at most half the step before last; otherwise the step
+    bisects.  Once a Newton step is shorter than half the target width, f
+    is probed that far past the Newton estimate, on the far side, so a sign
+    change there closes the bracket around the estimate; a probe without
+    one is followed by a bisection.  Every point taken updates the bracket
+    by the sign of f, so df only chooses the points: a wrong df costs
+    evaluations, never the certificate.
 
     tol None is at_precision(DEFAULT_TOL, bits) at the bracket's precision.
     Deterministic; never leaves the bracket.  Raises InvalidBracket when the
@@ -454,22 +466,39 @@ def find_root(
     if s_lo == s_hi:
         raise InvalidBracket("f has the same sign at both endpoints")
 
-    max_iter = 4 * bits + 128
-    for _ in range(max_iter):
-        if _width_ok(lo, hi, tol):
+    x, fx = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    probed = False  # the last point taken was a closing probe
+    last = before = 2 * (hi - lo)  # the last two step lengths
+    for _ in range(4 * bits + 128):
+        if hi - lo <= _target_width(lo, hi, tol):
             return (lo + hi) / 2
         mid = (lo + hi) / 2
         if not (lo < mid < hi):
             raise NoConvergence(
                 "bisection stalled before reaching tol; increase precision_bits"
             )
-        s_mid = _as_real(f(mid), bits).sign()
-        if s_mid == 0:
-            return mid
-        if s_mid == s_lo:
-            lo = mid
+        t = mid
+        d = None if df is None or probed else _as_real(df(x), bits)
+        probed = False
+        if d and d.is_finite:
+            step = fx / d
+            est = x - step
+            if lo < est < hi and abs(step) <= before / 2:
+                t = est
+                half = _target_width(est, est, tol) / 2
+                if abs(step) < half:
+                    probe = est - half if step > 0 else est + half
+                    t, probed = (probe, True) if lo < probe < hi else (mid, False)
+        fx = _as_real(f(t), bits)
+        s_t = fx.sign()
+        if s_t == 0:
+            return t
+        if s_t == s_lo:
+            lo = t
         else:
-            hi = mid
+            hi = t
+        before, last = last, abs(t - x)
+        x = t
     raise NoConvergence("iteration budget exhausted")
 
 

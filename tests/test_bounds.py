@@ -15,6 +15,7 @@ from dioph.numerics import (
     at_precision,
     e_value,
     exp,
+    find_root,
     scan_brackets,
     sqrt,
 )
@@ -52,6 +53,25 @@ def displayed_bounds(n: int, alpha: str, beta: str, prec: int = 512):
     w_lower = (rho**2 - b**2 - (b + rho) ** 2 * T) / (rho - b + (b + rho) ** 2 * T)
     w_upper = (b - rho) ** -1 * (a / b - phi) ** (-n - 1)
     return what_lower, what_upper, w_lower, w_upper
+
+
+def find_root_evals(solve) -> list:
+    """Evaluations of f in each find_root call of solve(), counted by
+    wrapping f the way the benchmark's tracing does."""
+    counts = []
+
+    def counted(f, *args, **kwargs):
+        counts.append(0)
+
+        def g(x):
+            counts[-1] += 1
+            return f(x)
+
+        return find_root(g, *args, **kwargs)
+
+    with patch.object(bd, "find_root", counted):
+        solve()
+    return counts
 
 
 def close(x: PR, ref, rel="1e-30") -> bool:
@@ -243,6 +263,11 @@ class TestBetaForEquality:
         betas = [bd.beta_for_equality(3, PR(a)) for a in ("0.4", "0.5", "0.6", "0.7")]
         assert all(a < b for a, b in zip(betas, betas[1:]))
 
+    def test_newton_steps_take_few_evaluations(self):
+        # bisection takes about 100 at 256 bits
+        [evals] = find_root_evals(lambda: bd.beta_for_equality(8, "0.5"))
+        assert evals <= 15
+
     def test_domain_errors(self):
         with pytest.raises(bd.DomainError):
             bd.beta_for_equality(4, "0.2")  # below 1/n
@@ -366,6 +391,11 @@ class TestMu:
             bd.mu(12)
         assert spy.call_count == 1
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_newton_steps_take_few_evaluations(self, n):
+        [evals] = find_root_evals(lambda: bd.mu(n))
+        assert evals <= 20
+
 
 SIGMA_TRUE = {
     4: "0.3706295114600989549892190475523297514071",
@@ -406,7 +436,7 @@ class TestSigma:
         assert f(s * (1 - off)).sign() < 0 < f(s * (1 + off)).sign()
 
     def test_tol_too_coarse_to_separate_from_tau(self):
-        # solved to tol 1e-3, tau(4) comes out 8e-5 relative below the root,
+        # solved to tol 1e-3, tau(4) comes out 3e-4 relative below the root,
         # which puts it under sigma(4)
         with pytest.raises(ValueError, match="too coarse"):
             bd.sigma(4, tol="1e-3")

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dioph import bounds as bd
-from dioph.numerics import PrecisionReal, at_precision
+from dioph.numerics import DEFAULT_TOL, PrecisionReal, at_precision, find_root
 
 PR = PrecisionReal
 
@@ -159,6 +159,41 @@ def test_lefths_bracket_has_certified_endpoint_signs(n, om, bits):
     assert br.lo <= root <= br.hi
 
 
+NEWTON_SOLVES = {
+    "tau": lambda n, x, bits: bd.tau(2 * max(1, n // 2), bits),
+    "mu": lambda n, x, bits: bd.mu(max(2, n), bits),
+    "regular_graph": lambda n, x, bits: bd.regular_graph_lambda_bound(2 * max(2, n // 2), bits),
+    "beta0": lambda n, x, bits: bd.beta_for_equality(
+        max(2, n), PR(1, bits) / max(2, n) + PR("0.9", bits) * (1 - PR(1, bits) / max(2, n)) * PR(x, bits), bits
+    ),
+    "lefths": lambda n, x, bits: bd.lefths_solve(n, PR(10, bits) ** int(12 * x - 6), bits),
+    "theta": lambda n, x, bits: bd.theta(bits),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(NEWTON_SOLVES)),
+    n=st.integers(min_value=1, max_value=30),
+    x=st.floats(min_value=0.01, max_value=1.0, exclude_max=True, allow_nan=False),
+    bits=st.sampled_from([64, 128, 256]),
+)
+def test_newton_steps_agree_with_bisection(name, n, x, bits):
+    # every find_root call the solver makes with a derivative returns a
+    # point of its input bracket within tol * scale of plain bisection's
+    with patch.object(bd, "find_root", wraps=bd.find_root) as spy:
+        NEWTON_SOLVES[name](n, x, bits)
+    assert spy.call_count >= 1 or name == "lefths"  # lefths returns n at omega = n
+    for call in spy.call_args_list:
+        f, br = call.args[:2]
+        assert call.kwargs["df"] is not None
+        tol = at_precision(DEFAULT_TOL, bits)
+        newton = find_root(f, br, tol, df=call.kwargs["df"])
+        bisection = find_root(f, br, tol)
+        assert br.lo <= newton <= br.hi
+        assert abs(newton - bisection) <= tol * max(abs(br.lo), abs(br.hi), PR(1, bits))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=6),
@@ -170,7 +205,7 @@ def test_envelopes_positive_and_uniform_pair_ordered_under_hypothesis(n, frac, b
     # perturb beta upward off the zero-defect root while the defect stays
     # below its threshold; the envelope quantities must remain positive and
     # the uniform dual bounds ordered.  beta0 is solved near working
-    # precision: at the default 1e-30 bisection width the midpoint can carry
+    # precision: at the default 1e-30 width the midpoint can carry
     # a defect of ~-1e-31, which hypothesis_satisfied() counts as zero but
     # which already pushes the lower bound ~1e-25 above the upper one
     alpha = PR(1) / n + (PR("0.85") - PR(1) / n) * PR(frac)

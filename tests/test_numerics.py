@@ -169,6 +169,38 @@ class TestFindRoot:
         assert abs(root - sqrt(PR(2, 512))) <= 2 * at_precision(DEFAULT_TOL, bits)
 
 
+class TestNewtonSteps:
+    @staticmethod
+    def solve(df, bits):
+        evals = []
+
+        def f(t):
+            evals.append(t)
+            return t * t - 2
+
+        root = find_root(f, Bracket(PR(1, bits), PR(2, bits), -1, 1), df=df)
+        assert all(1 <= t <= 2 for t in evals)  # never outside the bracket
+        return root, len(evals)
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_exact_derivative_takes_few_evaluations(self, bits):
+        root, evals = self.solve(lambda t: 2 * t, bits)
+        assert abs(root - sqrt(PR(2, 512))) <= at_precision(DEFAULT_TOL, bits)
+        assert evals <= 12
+
+    # zero: no step; -1: every step leaves the bracket; 100: steps too short
+    # for the step-before-last rule; 1e40: steps below the closing width
+    # whose probes find no sign change; 1e100: steps that round to nothing
+    @pytest.mark.parametrize("factor", [0, -1, 100, "1e40", "1e100"])
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_wrong_derivative_still_returns_the_certified_root(self, factor, bits):
+        scale = PR(factor, bits)
+        root, evals = self.solve(lambda t: 2 * t * scale, bits)
+        assert abs(root - sqrt(PR(2, 512))) <= at_precision(DEFAULT_TOL, bits)
+        _, bisection = self.solve(None, bits)
+        assert evals <= 4 * bisection
+
+
 class TestAtPrecision:
     def test_stated_value_at_256_bits(self):
         for stated in ("1e-30", "1e-20", "1e-60"):
