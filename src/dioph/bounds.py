@@ -24,6 +24,7 @@ from .numerics import (
     e_value,
     exp,
     find_root,
+    format_real,
     sqrt,
 )
 
@@ -231,9 +232,9 @@ def dual_bounds(ctx: BoundContext) -> DualBoundSet:
         raise DomainError("dual bounds require a finite beta")
     if not ctx.hypothesis_satisfied():
         side = "is negative (no point realizes the pair)" if ctx.epsilon.sign() < 0 else (
-            f"exceeds threshold={float(ctx.threshold):.6g}"
+            f"exceeds threshold={format_real(ctx.threshold, 6)}"
         )
-        raise HypothesisViolated(f"epsilon={float(ctx.epsilon):.6g} {side}")
+        raise HypothesisViolated(f"epsilon={format_real(ctx.epsilon, 6)} {side}")
     n = ctx.n
     d = ctx.alpha / ctx.beta - ctx.phi
     e = ctx.beta - ctx.rho

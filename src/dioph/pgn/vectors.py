@@ -124,7 +124,9 @@ class ApproxVector:
     @classmethod
     def from_target(cls, target: TargetPoint, x: int, y: Sequence[int]) -> "ApproxVector":
         """Compute Y = max_i |x xi_i - y_i|, exact up to one rounding to the
-        target's precision."""
+        target's precision; ValueError unless y has one entry per coordinate."""
+        if len(y) != target.n:
+            raise ValueError(f"y has {len(y)} entries for a target of dimension {target.n}")
         X, E = target.scaled()
         D = max(abs(int(x) * Xi - (int(yi) << E)) for Xi, yi in zip(X, y))
         return _error_vector(x, y, D, E, target.precision_bits)

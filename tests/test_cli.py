@@ -118,6 +118,14 @@ class TestTheoremNewCommand:
         d = json.loads(out)
         assert d["error"] == "HypothesisViolated"
 
+    def test_violation_message_prints_a_threshold_below_the_double_range(self):
+        # the threshold is alpha^3 / 8, about 1.25e-1200000001: float() reads 0
+        code, out = run_cli("theorem-new", "--n", "2", "--alpha", "1e-400000000", "--beta", "1")
+        assert code == 3
+        d = json.loads(out)
+        assert d["error"] == "HypothesisViolated"
+        assert d["message"] == "epsilon=1 exceeds threshold=1.25000e-1200000001"
+
     @pytest.mark.parametrize(
         "alpha, beta", [("0.6", "0.5"), ("inf", "inf"), ("nan", "1"), ("0.5", "nan")]
     )

@@ -91,6 +91,12 @@ class TestApproxVector:
         assert abs(v.Y - (2 - golden_value())) < PR("1e-70")
         assert v.ints() == (1, 2)
 
+    @pytest.mark.parametrize("y", [(0,), (0, 1, 0)])
+    def test_from_target_rejects_a_y_of_the_wrong_length(self, y):
+        t = pgn.TargetPoint.explicit(["0.3", "0.7"])
+        with pytest.raises(ValueError, match="dimension 2"):
+            pgn.ApproxVector.from_target(t, 1, y)
+
     def test_zero_error_raises(self):
         t = pgn.TargetPoint.explicit(["0.5"])
         with pytest.raises(pgn.RationalDependence):
