@@ -436,14 +436,14 @@ def find_root(
 
     Without df every step bisects.  With df, the derivative of f, each step
     tries a Newton step from the latest iterate, which is always an end of
-    the bracket (at first the end where |f| is smaller).  The step is taken when it lands strictly inside the
-    bracket and is at most half the step before last; otherwise the step
-    bisects.  Once a Newton step is shorter than half the target width, f
-    is probed that far past the Newton estimate, on the far side, so a sign
-    change there closes the bracket around the estimate; a probe without
-    one is followed by a bisection.  Every point taken updates the bracket
-    by the sign of f, so df only chooses the points: a wrong df costs
-    evaluations, never the certificate.
+    the bracket (at first the end where |f| is smaller).  The step is taken
+    when it lands strictly inside the bracket and is at most half the step
+    before last; otherwise the step bisects.  Once a Newton step is shorter
+    than half the target width, f is probed that far past the Newton
+    estimate, on the far side, so a sign change there closes the bracket
+    around the estimate; a probe without one is followed by a bisection.
+    Every point taken updates the bracket by the sign of f, so df only
+    chooses the points: a wrong df costs evaluations, never the certificate.
 
     tol None is at_precision(DEFAULT_TOL, bits) at the bracket's precision.
     Deterministic; never leaves the bracket.  Raises InvalidBracket when the

@@ -159,13 +159,17 @@ def test_lefths_bracket_has_certified_endpoint_signs(n, om, bits):
     assert br.lo <= root <= br.hi
 
 
+def alpha_above(n: int, x: float, bits: int) -> PR:
+    """1/n + 0.9 x (1 - 1/n): an alpha with a zero-defect beta above it."""
+    inv = PR(1, bits) / n
+    return inv + PR("0.9", bits) * (1 - inv) * PR(x, bits)
+
+
 NEWTON_SOLVES = {
-    "tau": lambda n, x, bits: bd.tau(2 * max(1, n // 2), bits),
-    "mu": lambda n, x, bits: bd.mu(max(2, n), bits),
+    "tau": lambda n, x, bits: bd.tau(2 * (n // 2), bits),
+    "mu": lambda n, x, bits: bd.mu(n, bits),
     "regular_graph": lambda n, x, bits: bd.regular_graph_lambda_bound(2 * max(2, n // 2), bits),
-    "beta0": lambda n, x, bits: bd.beta_for_equality(
-        max(2, n), PR(1, bits) / max(2, n) + PR("0.9", bits) * (1 - PR(1, bits) / max(2, n)) * PR(x, bits), bits
-    ),
+    "beta0": lambda n, x, bits: bd.beta_for_equality(n, alpha_above(n, x, bits), bits),
     "lefths": lambda n, x, bits: bd.lefths_solve(n, PR(10, bits) ** int(12 * x - 6), bits),
     "theta": lambda n, x, bits: bd.theta(bits),
 }
@@ -174,7 +178,7 @@ NEWTON_SOLVES = {
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(NEWTON_SOLVES)),
-    n=st.integers(min_value=1, max_value=30),
+    n=st.integers(min_value=2, max_value=30),
     x=st.floats(min_value=0.01, max_value=1.0, exclude_max=True, allow_nan=False),
     bits=st.sampled_from([64, 128, 256]),
 )
