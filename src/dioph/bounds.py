@@ -268,7 +268,7 @@ def regular_graph_duals(
     ctx = mm_defect(n, alpha, beta, precision_bits)
     if not ctx.zero_defect():
         raise NotRegularGraph(
-            f"epsilon={float(ctx.epsilon):.3g} is not zero at {ctx.epsilon.precision_bits} bits"
+            f"epsilon={format_real(ctx.epsilon, 6)} is not zero at {ctx.epsilon.precision_bits} bits"
         )
     a, b = ctx.alpha, ctx.beta
     return (b ** (n - 1) / a**n, b**n / a ** (n + 1))
@@ -640,9 +640,12 @@ def integer_approx_exponents(
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
     bits = precision_bits or DEFAULT_PRECISION_BITS
-    s = sigma(n, bits, tol)
-    th = theta(bits, tol)
-    return (1 / s + 1, PrecisionReal(n, bits) / th + 1)
+    return _integer_approx(n, sigma(n, bits, tol), theta(bits, tol))
+
+
+def _integer_approx(n: int, sigma_n: PrecisionReal, theta_value: PrecisionReal) -> Tuple[PrecisionReal, PrecisionReal]:
+    """(1/sigma_n + 1, n/Theta + 1) from solved constants."""
+    return (1 / sigma_n + 1, n / theta_value + 1)
 
 
 # -- per-n summary -------------------------------------------------------------

@@ -6,17 +6,22 @@ profile value at q is the min-max over independent j-tuples, computed
 exactly by greedy selection in increasing L order (linear independence is
 a matroid, so the greedy selection realizes the min-max).  A vector with
 n + 1 independent vectors at or below it in both x and Y is never chosen,
-so the pool is pruned to the rest once and every q works on exact values;
-`undominated_candidates` streams that pruning over a target's pool
-without building the pool.
+so the pool is pruned to the rest once; `undominated_candidates` streams
+that pruning over a target's pool without building the pool.  At a fixed
+q the vectors on their falling branch are in log x order and the others
+in log Y order, so `profile` sweeps the grid upward and draws the L order
+as a lazy merge of two lists sorted once, scoring only what it draws.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush, merge
+from itertools import groupby
 from math import inf
 from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from mpmath.libmp import mpf_cmp
 
@@ -154,6 +159,15 @@ def undominated_candidates(
     return kept, size
 
 
+def _ascending(entries: Sequence[Tuple[PrecisionReal, int]], key) -> Iterator[Tuple[PrecisionReal, int]]:
+    """(key(value), rank) for entries in (value, rank) order, key
+    nondecreasing: ascending, a run of equal keys by rank; each key is
+    computed as it is drawn."""
+    for k, run in groupby(entries, lambda e: key(e[0])):
+        for r in sorted(r for _, r in run):
+            yield k, r
+
+
 def profile(
     candidates: Sequence[ApproxVector],
     q_grid: Sequence[Scalar],
@@ -162,9 +176,9 @@ def profile(
     """Exact min-max profile over the pool at each grid parameter.
 
     The vectors that some n + 1 independent earlier vectors dominate in x
-    and Y are dropped once (`_undominated`); at every q the rest are scored
-    exactly and selected greedily in (L, x, y, index) order, so witnesses
-    index the caller's pool.  Dropping is exact when log_x and log_Y are
+    and Y are dropped once (`_undominated`); at every q the rest are
+    selected greedily in (L, x, y, index) order, so witnesses index the
+    caller's pool.  Dropping is exact when log_x and log_Y are
     nondecreasing in x and Y, as for every pool `enumerate_candidates` or
     `ApproxVector.from_target` builds; a pool of injected logs that breaks
     this must have at most n + 1 vectors, so that none is dropped.  The
@@ -172,9 +186,23 @@ def profile(
     pool, because `_undominated` keeps every one of them.
     The result upper-bounds the true lattice profile when the pool is
     incomplete and is exact for the pool itself.
+
+    The grid is swept upward.  The kept vectors start on a falling list in
+    (log x, rank) order, rank being the (x, y, index) order, and each
+    moves once to a rising list in (log Y, rank) order, at the first q at
+    or above its q_v (`vector_min_point`).  At each q the lists are merged
+    lazily on their branch values log x - q and log Y + q/n, a run of
+    equal rounded values by rank, until n + 1 independent vectors are
+    chosen; only drawn vectors are scored by `vector_L`.  A branch value
+    is at most L; where rounding near q_v puts L on the other branch, the
+    vector is held back until its L comes up, so the order is exact.
     """
     pool = list(candidates)
     kept = _undominated(pool, n)
+    vecs = [pool[i] for i in kept]
+    falling = sorted((v.log_x, r) for r, v in enumerate(vecs))
+    rising: List[Tuple[PrecisionReal, int]] = []
+    moves = sorted(((vector_min_point(v, n)[0], r) for r, v in enumerate(vecs)), reverse=True)
 
     samples: List[ProfileSample] = []
     prev: Optional[PrecisionReal] = None
@@ -183,16 +211,28 @@ def profile(
         if prev is not None and not q > prev:
             raise ValueError("q_grid must be strictly increasing")
         prev = q
-        # kept is in (x, y, index) order, so a stable sort on L alone
-        # gives the (L, x, y, index) order
-        scored = sorted(((vector_L(pool[i], q, n), i) for i in kept), key=lambda e: e[0])
+        while moves and moves[-1][0] <= q:
+            r = moves.pop()[1]
+            del falling[bisect_left(falling, (vecs[r].log_x, r))]
+            insort(rising, (vecs[r].log_Y, r))
+        qn = q / n
+        drawn = merge(_ascending(falling, lambda lx: lx - q), _ascending(rising, lambda ly: ly + qn))
+        held: List[Tuple[PrecisionReal, int]] = []  # (L, rank) drawn below their L
+        head = next(drawn, None)
         basis = IntBasis(n + 1)
         chosen: List[Tuple[PrecisionReal, int]] = []
-        for L_val, idx in scored:
-            if basis.try_add(pool[idx].ints()):
-                chosen.append((L_val, idx))
-                if len(chosen) == n + 1:
-                    break
+        while len(chosen) < n + 1 and (head is not None or held):
+            if held and (head is None or held[0] < head):
+                L_val, r = heappop(held)
+            else:
+                value, r = head
+                head = next(drawn, None)
+                L_val = vector_L(vecs[r], q, n)
+                if L_val != value:
+                    heappush(held, (L_val, r))
+                    continue
+            if basis.try_add(vecs[r].ints()):
+                chosen.append((L_val, kept[r]))
         samples.append(
             ProfileSample(
                 q=q,

@@ -311,8 +311,7 @@ def suite_constants(bits: int = 256) -> List[CheckResult]:
         format_real(cl.jarnik, 12),
     )
 
-    ia4 = bd.integer_approx_exponents(4, bits)
-    ia6 = bd.integer_approx_exponents(6, bits)
+    ia4, ia6 = (bd._integer_approx(n, reports[n].sigma_n, th) for n in (4, 6))
     ok = (
         abs(ia4[0] - PrecisionReal("3.698", bits)) < PrecisionReal("1e-3", bits)
         and abs(ia4[1] - PrecisionReal("3.277", bits)) < PrecisionReal("1e-3", bits)

@@ -210,6 +210,12 @@ class TestRegularGraphDuals:
         with pytest.raises(bd.NotRegularGraph):
             bd.regular_graph_duals(4, "0.37", "0.5")
 
+    def test_message_prints_an_epsilon_beyond_the_double_range(self):
+        # epsilon is about -2e400000000, finite; float() reads -inf
+        with pytest.raises(bd.NotRegularGraph) as info:
+            bd.regular_graph_duals(2, "1e400000000", "1e400000000")
+        assert str(info.value) == "epsilon=-2.00000e+400000000 is not zero at 256 bits"
+
     def test_accepts_beta0_solved_at_64_bits(self):
         # the corollary suite's first draw: |epsilon| = 3.8e-19, above 1e-20
         # but within the 64-bit zero bound at_precision(1e-20, 64) = 2^-56
@@ -629,6 +635,12 @@ class TestIntegerApproxExponents:
         assert close(u4[1], "3.2773450963267076934", "1e-18")
         assert close(u6[0], "4.7287939415928727641", "1e-18")
         assert close(u6[1], "4.4160176444900615402", "1e-18")
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_formula_over_the_constants_report(self, n):
+        # verify constants feeds the same formula from its reports
+        rep = bd.constants_report(n)
+        assert bd.integer_approx_exponents(n) == (1 / rep.sigma_n + 1, n / rep.theta + 1)
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     def test_conditional_beats_unconditional_scale(self, n):

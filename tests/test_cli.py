@@ -1,5 +1,6 @@
 import io
 import json
+from hashlib import sha256
 import subprocess
 import sys
 
@@ -255,6 +256,38 @@ class TestSimulateCommand:
         for name in ("minimal_points.csv", "profile.csv", "estimates.json", "intersections.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    # sha256 of the output of the two runs, taken before the profile became
+    # a merge of presorted lists; any change in a printed digit fails here
+    PINNED = {
+        "e_n2": ("veronese:e", "2", "2000", {
+            "stdout": "8114dbdcb2897a1d83c278cb30149f8df14cd545d238dd7d05067815c5a4bc23",
+            "estimates.json": "1d64fba6634fbece8d1f76c2a8524170c3c0c89d6e80438640da04f44f4a9dec",
+            "intersections.csv": "f09e4fb811f752bc2848a3d225a39a5fa5e06d84ce846edcd77aa7bb89a0e5c4",
+            "minimal_points.csv": "bb71d7dee24d5e29a7dd39294bce84e98755259325e60d3dcd34823f553c0505",
+            "profile.csv": "a7861a6bbc68454eeca54208d6a8c2ea5ca37d454649df5355ccea3e14e757c9",
+        }),
+        "pi_n3": ("veronese:pi", "3", "1000", {
+            "stdout": "69583e1f621efe3881ed66486dff551dffc445a7c79081e04956d082be3feae1",
+            "estimates.json": "e9577d51785608dec82d0f003c6b2119ce72a3b2e8ecafe0e20c4a23fae09865",
+            "intersections.csv": "da5cdf5fb6aa1f89a7deebb6ee3cdeffe39708494cfb3bb34abaef8cd5e8f10e",
+            "minimal_points.csv": "6d31e9a3142d0f8ff4b4bb85f106f9b37379530abb62f271b6764158458dac28",
+            "profile.csv": "71b3a376e364b977245d5c63cd8c3fb831b52fd95b20435c4c82f240d6dfd84a",
+        }),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_output_is_pinned(self, tmp_path, case):
+        target, n, xmax, pinned = self.PINNED[case]
+        code, out = run_cli(
+            "simulate", "--target", target, "--n", n, "--xmax", xmax, "--widen", "1",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        digests = {"stdout": sha256(out.replace(str(tmp_path), "OUT").encode()).hexdigest()}
+        for path in sorted(tmp_path.iterdir()):
+            digests[path.name] = sha256(path.read_bytes()).hexdigest()
+        assert digests == pinned
+
 
 class TestVerifyCommand:
     def test_monotonicity_suite_passes(self):
@@ -284,9 +317,8 @@ class TestVerifyCommand:
         assert checks and all(c["ok"] for c in checks)
 
     def test_constants_suite_reads_constants_report(self, monkeypatch):
-        # tau, sigma, the regular-graph bound and chi come from one report
-        # per n; only integer_approx_exponents, the function its check
-        # tests, solves sigma and theta on its own
+        # tau, sigma, the regular-graph bound, chi and the algebraic-integer
+        # exponents come from one report per n; theta is solved once
         from dioph import bounds as bd
         from dioph.suites import suite_constants
 
@@ -304,8 +336,8 @@ class TestVerifyCommand:
         assert all(c.ok for c in suite_constants())
         assert calls == {
             "constants_report": 7,
-            "theta": 3,
-            "sigma": 2,
+            "theta": 1,
+            "sigma": 0,
             "regular_graph_lambda_bound": 0,
             "chi_estimate": 0,
         }

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import dioph.numerics
 from dioph import pgn
-from dioph.numerics import PrecisionReal, e_value, golden_value, log as nlog
+from dioph.numerics import PrecisionReal, e_value, exp as nexp, golden_value, log as nlog
 from dioph.pgn.profile import _undominated
 from dioph.suites import exhaustive_minmax, thinned_pool
 
@@ -180,6 +180,85 @@ class TestProfile:
                 continue
             sample = next(s for s in prof if s.q == qk)
             assert abs(sample.L[0] - val) < PR("1e-60")
+
+
+def ulps(q, k):
+    """q moved by k units in the last place of its 256-bit mantissa."""
+    _, man, exp, bc = q.raw
+    return q + PR(k) * PR(2) ** (exp + bc - 256)
+
+
+def vector_at(x, y, log_x, log_Y):
+    """An injected vector whose Y is exp(log_Y), so x, Y and the logs agree."""
+    return pgn.ApproxVector(x, y, nexp(log_Y), 256, log_x=log_x, log_Y=log_Y)
+
+
+class TestMergeTies:
+    # the profile draws the L order from a list in log x order and one in
+    # log Y order; these pools force the ties that order must break as the
+    # full-pool greedy does
+
+    def test_equal_rounded_L_on_the_rising_branch_comes_out_by_x(self):
+        # log Y differs by 2^-255 and log Y + q rounds to 4 for both, so
+        # the vector of smaller Y but larger x must come second
+        n, q = 1, PR(5)
+        later = vector_at(2, (1,), PR(0), PR(-1))
+        first = vector_at(1, (1,), PR(0), PR(-1) + PR(2) ** -255)
+        pool = [later, first]
+        assert later.Y < first.Y and later.log_Y < first.log_Y
+        assert pgn.vector_L(later, q, n) == pgn.vector_L(first, q, n) == PR(4)
+        sample = pgn.profile(pool, [q], n)[0]
+        assert sample.witnesses == (1, 0)
+        assert (sample.L, sample.witnesses) == full_pool_greedy(pool, q, n)
+
+    @pytest.mark.parametrize(
+        "q0, shift", [(PR(1) / 3, 0), (PR(13) / 7, 1), (PR(23) / 7, -1)],
+        ids=["at_q_v", "ulp_above", "ulp_below"],
+    )
+    def test_grid_point_at_the_branch_switch(self, q0, shift):
+        # log x and log Y cancel to L = -2e-8 at q0, so the roundings of
+        # vector_L put it on the falling branch at and one ulp above its
+        # q_v, and on the rising one an ulp below; a twin of smaller x with
+        # the same log on the other side ties it at its L and comes first
+        n = 4
+        L = PR(-20) / 10**9
+        log_x, log_Y = q0 + L, L - q0 / n
+        v = pgn.ApproxVector(2, (1, 0, 0, 0), PR(1), 256, log_x=log_x, log_Y=log_Y)
+        q = ulps(pgn.vector_min_point(v, n)[0], shift)
+        fall, rise, L_v = log_x - q, log_Y + q / n, pgn.vector_L(v, q, n)
+        assert (L_v == fall != rise) if shift >= 0 else (L_v == rise != fall)
+        if shift >= 0:
+            twin = pgn.ApproxVector(1, (0, 0, 0, 0), PR(1), 256, log_x=log_x, log_Y=log_Y - 1)
+        else:
+            twin = pgn.ApproxVector(1, (0, 0, 0, 0), PR(1), 256, log_x=log_x - 1, log_Y=log_Y)
+        assert pgn.vector_L(twin, q, n) == pgn.vector_L(v, q, n)
+        rest = [
+            pgn.ApproxVector(x, e, PR(1), 256, log_x=PR(10), log_Y=PR(5))
+            for x, e in ((3, (0, 1, 0, 0)), (4, (0, 0, 1, 0)), (5, (0, 0, 0, 1)))
+        ]
+        pool = [v, twin, *rest]
+        sample = pgn.profile(pool, [q], n)[0]
+        assert sample.witnesses[:2] == (1, 0)
+        assert (sample.L, sample.witnesses) == full_pool_greedy(pool, q, n)
+
+    def test_vector_L_calls_per_q(self, monkeypatch):
+        # the merge scores the vectors it draws, not all 51 kept vectors at
+        # each of the 218 grid points (11,118 calls before)
+        profile_module = sys.modules["dioph.pgn.profile"]
+        calls = 0
+        exact = profile_module.vector_L
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return exact(*args)
+
+        monkeypatch.setattr(profile_module, "vector_L", counted)
+        t = pgn.TargetPoint.veronese(e_value(), 2)
+        kept, _ = pgn.undominated_candidates(t, 10**4, widen=1)
+        grid = pgn.build_q_grid(pgn.minimal_points(kept), 2, nlog(PR(10**4)))
+        pgn.profile(kept, grid, 2)
+        assert (len(kept), len(grid), calls) == (51, 218, 822)
 
 
 @st.composite
