@@ -117,9 +117,10 @@ def _geometric_slope(x: PrecisionReal, m: int) -> PrecisionReal:
     return acc
 
 
-def _epsilon_value(n: int, alpha: PrecisionReal, beta: PrecisionReal) -> PrecisionReal:
-    """1 - sum_{j=1}^{n} alpha^j / beta^(j-1), via the geometric closed form."""
-    return 1 - _geometric_sum(alpha, alpha / beta, n)
+def _epsilon_value(n: int, alpha: PrecisionReal, ratio: PrecisionReal) -> PrecisionReal:
+    """The defect 1 - sum_{j=1}^{n} alpha^j / beta^(j-1) at ratio = alpha/beta,
+    via the geometric closed form."""
+    return 1 - _geometric_sum(alpha, ratio, n)
 
 
 # -- the defect and Theorem-level dual bounds --------------------------------
@@ -199,7 +200,7 @@ def mm_defect(
     one = PrecisionReal(1, bits)
     zero = PrecisionReal(0, bits)
     r = a / b
-    eps = 1 - _geometric_sum(a, r, n)
+    eps = _epsilon_value(n, a, r)
     gap = b - a
     smaller = a if a <= gap else gap
     threshold = r**n * smaller / (4 * n)
@@ -235,19 +236,13 @@ def dual_bounds(ctx: BoundContext) -> DualBoundSet:
             f"exceeds threshold={format_real(ctx.threshold, 6)}"
         )
         raise HypothesisViolated(f"epsilon={format_real(ctx.epsilon, 6)} {side}")
-    n = ctx.n
-    d = ctx.alpha / ctx.beta - ctx.phi
-    e = ctx.beta - ctx.rho
-    if d.sign() <= 0 or e.sign() <= 0:
-        raise DegenerateContext("alpha/beta - phi and beta - rho must stay positive")
-
-    d_minus_n = d**-n
-    den_hat = d_minus_n + e * (1 - ctx.S)
-    if den_hat.sign() <= 0:
-        raise DegenerateContext("uniform lower-bound denominator is not positive")
-    what_lower = e * ctx.S / den_hat
-    what_upper = d_minus_n / e
-    w_upper = d ** -(n + 1) / e
+    try:
+        what_lower = _what_lower_value(ctx)
+    except InvalidPoint as ex:
+        raise DegenerateContext(str(ex)) from None
+    d, e = _envelope(ctx)
+    what_upper = d**-ctx.n / e
+    w_upper = d ** -(ctx.n + 1) / e
 
     bp2 = (ctx.beta + ctx.rho) ** 2
     den_ord = ctx.rho - ctx.beta + bp2 * ctx.T
@@ -304,13 +299,13 @@ def beta_for_equality(
     if a >= 1:
         raise DomainError("alpha must be below 1 (at 1 the ordinary exponent is infinite)")
 
-    at_alpha = _epsilon_value(n, a, a)  # equals 1 - n*alpha
+    at_alpha = _epsilon_value(n, a, PrecisionReal(1, bits))  # beta = alpha: 1 - n*alpha
     if at_alpha == 0:
         return a
     if at_alpha > 0:
         raise DomainError("alpha below 1/n: no zero-defect beta with beta >= alpha")
 
-    f = lambda b: _epsilon_value(n, a, b)
+    f = lambda b: _epsilon_value(n, a, a / b)
 
     def df(b: PrecisionReal) -> PrecisionReal:
         r = a / b
@@ -388,15 +383,22 @@ def mu(
     return MuValue(w, w if w > floor else floor)
 
 
-def _what_lower_value(ctx: BoundContext) -> PrecisionReal:
-    """The uniform dual lower-bound expression; InvalidPoint off its domain."""
+def _envelope(ctx: BoundContext) -> Tuple[PrecisionReal, PrecisionReal]:
+    """(alpha/beta - phi, beta - rho); InvalidPoint unless both are positive."""
     d = ctx.alpha / ctx.beta - ctx.phi
     e = ctx.beta - ctx.rho
     if d.sign() <= 0 or e.sign() <= 0:
-        raise InvalidPoint("context outside the admissible envelope range")
+        raise InvalidPoint("alpha/beta - phi and beta - rho must stay positive")
+    return d, e
+
+
+def _what_lower_value(ctx: BoundContext) -> PrecisionReal:
+    """The uniform dual lower bound e S / (d^-n + e (1 - S)), (d, e) the
+    ``_envelope``; InvalidPoint off its domain."""
+    d, e = _envelope(ctx)
     den = d**-ctx.n + e * (1 - ctx.S)
     if den.sign() <= 0:
-        raise InvalidPoint("lower-bound denominator not positive")
+        raise InvalidPoint("uniform lower-bound denominator is not positive")
     return e * ctx.S / den
 
 

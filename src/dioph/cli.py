@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -18,16 +17,11 @@ from . import bounds as bd
 from . import pgn
 from .numerics import (
     DEFAULT_PRECISION_BITS,
+    NAMED_CONSTANTS,
     NumericsError,
     PrecisionReal,
-    Scalar,
-    e_value,
     format_real,
-    golden_value,
-    liouville_value,
     log as nlog,
-    pi_value,
-    sqrt2_value,
 )
 from .pgn.io import (
     dump_json,
@@ -39,7 +33,7 @@ from .pgn.io import (
 )
 from .suites import SUITE_NAMES, run_suite
 
-__all__ = ["RunConfig", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 # candidate-pool cap, xmax * (2 widen + 1)^n: the pool at n = 1, widen 1, xmax 10^6
 POOL_CAP = 3 * 10**6
@@ -49,32 +43,27 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 
-_NAMED_CONSTANTS = {
-    "e": e_value,
-    "pi": pi_value,
-    "sqrt2": sqrt2_value,
-    "golden": golden_value,
-    "liouville": liouville_value,
-}
+
+def _precision_bits(text: str) -> int:
+    """A --precision-bits or DIOPH_PRECISION_BITS value: an integer >= 64."""
+    try:
+        bits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bits < 64:
+        raise argparse.ArgumentTypeError("precision_bits must be >= 64")
+    return bits
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """precision_bits, the relative root width tol (None: each solve takes
-    the precision's default, ``numerics.at_precision(DEFAULT_TOL, bits)``)
-    and the output format."""
-
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    tol: Optional[Scalar] = None
-    output_format: str = "text"
-
-    def __post_init__(self):
-        if self.precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64")
-        if self.tol is not None and PrecisionReal(self.tol, self.precision_bits).sign() <= 0:
-            raise ValueError("tol must parse as a positive real")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValueError("output_format must be json, csv or text")
+def _positive_tol(text: str) -> str:
+    """A --tol value, kept as text so each solve reads it at its own precision."""
+    try:
+        tol = PrecisionReal(text, 64)
+    except ValueError:
+        tol = None
+    if tol is None or not tol.is_finite or tol.sign() <= 0:
+        raise argparse.ArgumentTypeError("tol must parse as a positive real")
+    return text
 
 
 def _parse_n_range(spec: str, even_only: bool) -> List[int]:
@@ -111,18 +100,18 @@ def _report_row(rep: bd.ConstantsReport) -> dict:
     }
 
 
-def _cmd_bounds(args, config: RunConfig, out) -> int:
+def _cmd_bounds(args, out) -> int:
     ns = _parse_n_range(args.n, args.even)
-    bits, tol = config.precision_bits, config.tol
+    bits, tol = args.precision_bits, args.tol
     theta = bd.theta(bits, tol)
     reports = [bd.constants_report(n, bits, theta_value=theta, tol=tol) for n in ns]
     rows = [_report_row(r) for r in reports]
     theta_str = format_real(theta, 12)
-    if config.output_format == "json":
+    if args.output_format == "json":
         print(dump_json({"theta": theta_str}), file=out)
         for row in rows:
             print(dump_json(row), file=out)
-    elif config.output_format == "csv":
+    elif args.output_format == "csv":
         cols = ["n", "tau", "sigma", "w_aux", "mu", "regular_graph_bound", "chi", "laurent", "theta"]
         print(",".join(cols), file=out)
         for row in rows:
@@ -138,9 +127,8 @@ def _cmd_bounds(args, config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_theorem_new(args, config: RunConfig, out) -> int:
-    bits = config.precision_bits
-    ctx = bd.mm_defect(args.n, args.alpha, args.beta, bits)
+def _cmd_theorem_new(args, out) -> int:
+    ctx = bd.mm_defect(args.n, args.alpha, args.beta, args.precision_bits)
     payload = {
         "n": ctx.n,
         "alpha": format_real(ctx.alpha, 12),
@@ -161,7 +149,7 @@ def _cmd_theorem_new(args, config: RunConfig, out) -> int:
             "w_upper": format_real(ds.w_upper, 12),
         }
     )
-    if config.output_format == "json":
+    if args.output_format == "json":
         print(dump_json(payload), file=out)
     else:
         for key in (
@@ -179,7 +167,7 @@ def _resolve_target(spec: str, n: Optional[int], bits: int) -> pgn.TargetPoint:
     if kind == "veronese":
         if n is None:
             raise ValueError("veronese targets require --n")
-        maker = _NAMED_CONSTANTS.get(rest)
+        maker = NAMED_CONSTANTS.get(rest)
         xi = maker(bits) if maker else PrecisionReal(rest, bits)
         return pgn.TargetPoint.veronese(xi, n, bits, label=rest)
     if kind == "explicit":
@@ -191,8 +179,8 @@ def _resolve_target(spec: str, n: Optional[int], bits: int) -> pgn.TargetPoint:
     raise ValueError(f"unknown target kind {kind!r}")
 
 
-def _cmd_simulate(args, config: RunConfig, out) -> int:
-    bits = config.precision_bits
+def _cmd_simulate(args, out) -> int:
+    bits = args.precision_bits
     target = _resolve_target(args.target, args.n, bits)
     n = target.n
     boxed = args.xmax * (2 * args.widen + 1) ** n
@@ -211,34 +199,24 @@ def _cmd_simulate(args, config: RunConfig, out) -> int:
     estimates = pgn.estimate_exponents(seq, samples, n, window_fraction=args.window_fraction)
     diagnostics = pgn.intersection_diagnostics(seq, n) if len(seq) >= n + 2 else []
 
+    writers = {
+        "minimal_points.csv": lambda f: write_sequence_csv(seq, f),
+        "profile.csv": lambda f: write_profile_csv(samples, n, f),
+        "estimates.json": lambda f: print(dump_json(estimates_to_dict(estimates)), file=f),
+        "intersections.csv": lambda f: write_diagnostics_csv(diagnostics, f),
+    }
+    if args.alpha is not None and args.beta is not None:
+        report = pgn.check_theorem_v(seq, n, args.alpha, args.beta, bits)
+        writers["theorem_v.json"] = lambda f: print(dump_json(theorem_report_to_dict(report)), file=f)
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
-
-    path = out_dir / "minimal_points.csv"
-    with path.open("w", encoding="utf-8", newline="") as f:
-        write_sequence_csv(seq, f)
-    files["minimal_points"] = str(path)
-
-    path = out_dir / "profile.csv"
-    with path.open("w", encoding="utf-8", newline="") as f:
-        write_profile_csv(samples, n, f)
-    files["profile"] = str(path)
-
-    path = out_dir / "estimates.json"
-    path.write_text(dump_json(estimates_to_dict(estimates)) + "\n", encoding="utf-8")
-    files["estimates"] = str(path)
-
-    path = out_dir / "intersections.csv"
-    with path.open("w", encoding="utf-8", newline="") as f:
-        write_diagnostics_csv(diagnostics, f)
-    files["intersections"] = str(path)
-
-    if args.alpha is not None and args.beta is not None:
-        report = pgn.check_theorem_v(seq, n, args.alpha, args.beta, bits)
-        path = out_dir / "theorem_v.json"
-        path.write_text(dump_json(theorem_report_to_dict(report)) + "\n", encoding="utf-8")
-        files["theorem_v"] = str(path)
+    for name, write in writers.items():
+        path = out_dir / name
+        with path.open("w", encoding="utf-8", newline="") as f:
+            write(f)
+        files[path.stem] = str(path)
 
     summary = {
         "target": target.source,
@@ -256,8 +234,8 @@ def _cmd_simulate(args, config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, config: RunConfig, out) -> int:
-    results = run_suite(args.suite, config.precision_bits)
+def _cmd_verify(args, out) -> int:
+    results = run_suite(args.suite, args.precision_bits)
     all_ok = True
     for r in results:
         all_ok = all_ok and r.ok
@@ -269,12 +247,9 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
 
 
 def _add_format(p: argparse.ArgumentParser, choices: Sequence[str]) -> None:
+    """--format with the given choices; the last one is the default."""
     p.add_argument(
-        "--format",
-        dest="output_format",
-        choices=choices,
-        default=argparse.SUPPRESS,
-        help="output format",
+        "--format", dest="output_format", choices=choices, default=choices[-1], help="output format"
     )
 
 
@@ -282,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--precision-bits",
-        type=int,
+        type=_precision_bits,
         default=argparse.SUPPRESS,
         help="working mantissa precision (>= 64)",
     )
@@ -299,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--even", action="store_true", help="keep only even dimensions")
     p.add_argument(
         "--tol",
-        default=argparse.SUPPRESS,
+        type=_positive_tol,
         help="relative width of every root (default: 1e-30, or the finest the precision reaches)",
     )
     _add_format(p, ("json", "csv", "text"))
@@ -340,21 +315,14 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_bits = os.environ.get("DIOPH_PRECISION_BITS")
+    if not hasattr(args, "precision_bits"):  # the flag wins over the environment
+        env_bits = os.environ.get("DIOPH_PRECISION_BITS")
+        try:
+            args.precision_bits = _precision_bits(env_bits) if env_bits else DEFAULT_PRECISION_BITS
+        except argparse.ArgumentTypeError as ex:
+            parser.error(f"DIOPH_PRECISION_BITS: {ex}")
     try:
-        config = RunConfig(
-            precision_bits=getattr(
-                args,
-                "precision_bits",
-                int(env_bits) if env_bits else DEFAULT_PRECISION_BITS,
-            ),
-            tol=getattr(args, "tol", None),
-            output_format=getattr(args, "output_format", "text"),
-        )
-    except ValueError as ex:
-        parser.error(str(ex))  # exits with code 2
-    try:
-        return args.func(args, config, out)
+        return args.func(args, out)
     except (bd.DomainError, bd.HypothesisViolated, bd.NotRegularGraph, bd.DegenerateContext) as ex:
         print(dump_json({"error": type(ex).__name__, "message": str(ex)}), file=out)
         return EXIT_DOMAIN

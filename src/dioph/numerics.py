@@ -65,6 +65,7 @@ __all__ = [
     "sqrt2_value",
     "golden_value",
     "liouville_value",
+    "NAMED_CONSTANTS",
     "format_real",
 ]
 
@@ -91,6 +92,21 @@ class InvalidPoint(NumericsError):
 
 
 Scalar = Union["PrecisionReal", int, float, str]
+
+
+def _rounded(op: Callable, reflected: bool = False) -> Callable:
+    """The binary operator op(x, y, bits, rounding) on PrecisionReal, rounded
+    at the larger of the two precisions; reflected swaps the operands."""
+
+    def method(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        p = max(self.precision_bits, o.precision_bits)
+        raw = op(o.raw, self.raw, p, RND) if reflected else op(self.raw, o.raw, p, RND)
+        return PrecisionReal._make(raw, p)
+
+    return method
 
 
 class PrecisionReal:
@@ -187,51 +203,12 @@ class PrecisionReal:
             return PrecisionReal(other, self.precision_bits)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = max(self.precision_bits, o.precision_bits)
-        return PrecisionReal._make(mpf_add(self.raw, o.raw, p, RND), p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = max(self.precision_bits, o.precision_bits)
-        return PrecisionReal._make(mpf_sub(self.raw, o.raw, p, RND), p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = max(self.precision_bits, o.precision_bits)
-        return PrecisionReal._make(mpf_sub(o.raw, self.raw, p, RND), p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = max(self.precision_bits, o.precision_bits)
-        return PrecisionReal._make(mpf_mul(self.raw, o.raw, p, RND), p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = max(self.precision_bits, o.precision_bits)
-        return PrecisionReal._make(mpf_div(self.raw, o.raw, p, RND), p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = max(self.precision_bits, o.precision_bits)
-        return PrecisionReal._make(mpf_div(o.raw, self.raw, p, RND), p)
+    __add__ = __radd__ = _rounded(mpf_add)
+    __sub__ = _rounded(mpf_sub)
+    __rsub__ = _rounded(mpf_sub, reflected=True)
+    __mul__ = __rmul__ = _rounded(mpf_mul)
+    __truediv__ = _rounded(mpf_div)
+    __rtruediv__ = _rounded(mpf_div, reflected=True)
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -371,6 +348,16 @@ def liouville_value(bits: int = DEFAULT_PRECISION_BITS, terms: int = 10) -> Prec
     big = included[-1]
     num = sum(10 ** (big - f) for f in included)
     return PrecisionReal._make(from_rational(num, 10**big, bits, RND), bits)
+
+
+# the constants a target may name, each a function of the precision in bits
+NAMED_CONSTANTS = {
+    "e": e_value,
+    "pi": pi_value,
+    "sqrt2": sqrt2_value,
+    "golden": golden_value,
+    "liouville": liouville_value,
+}
 
 
 # -- deterministic decimal formatting ---------------------------------------

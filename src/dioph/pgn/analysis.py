@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..bounds import mm_defect, transfer_dual
 from ..numerics import PrecisionReal, Scalar
 from .intrank import int_rank
-from .profile import ProfileSample
+from .profile import ProfileSample, crossing_q, vector_min_point
 from .vectors import InsufficientData, MinimalPointSequence
 
 __all__ = [
@@ -205,20 +205,16 @@ def intersection_diagnostics(seq: MinimalPointSequence, n: int) -> List[Intersec
     pts = seq.points
     if len(pts) < n + 2:
         raise InsufficientData(f"need at least {n + 2} points, have {len(pts)}")
-    lx = [v.log_x for v in pts]
-    ly = [v.log_Y for v in pts]
-    bits = lx[0].precision_bits
-    c = PrecisionReal(n, bits) / (n + 1)
-
     rows: List[IntersectionRow] = []
     for j in range(n, len(pts) - 1):  # paper index k = j + 1
-        q_k = c * (lx[j] - ly[j])
-        r_k = c * (lx[j + 1] - ly[j])
-        q_next = c * (lx[j + 1] - ly[j + 1])
-        s_k = c * (lx[j + 1] - ly[j - n + 1])
-        u_k = c * (lx[j] - ly[j - n])
-        p_k = c * (lx[j + 1] - ly[j - n])
-        u_next = c * (lx[j + 1] - ly[j + 1 - n])
+        v, nxt = pts[j], pts[j + 1]
+        q_k = vector_min_point(v, n)[0]
+        r_k = crossing_q(v, nxt, n)
+        q_next = vector_min_point(nxt, n)[0]
+        s_k = crossing_q(pts[j - n + 1], nxt, n)
+        u_k = crossing_q(pts[j - n], v, n)
+        p_k = crossing_q(pts[j - n], nxt, n)
+        u_next = crossing_q(pts[j + 1 - n], nxt, n)
         rows.append(
             IntersectionRow(
                 k=j + 1,

@@ -66,10 +66,9 @@ def vector_L(v: ApproxVector, q: Scalar, n: int) -> PrecisionReal:
 
 
 def vector_min_point(v: ApproxVector, n: int) -> Tuple[PrecisionReal, PrecisionReal]:
-    """(q_v, L(q_v)) where the two branches of L_x meet."""
-    q = n * (v.log_x - v.log_Y) / (n + 1)
-    value = (v.log_x + n * v.log_Y) / (n + 1)
-    return q, value
+    """(q_v, L(q_v)) where the two branches of L_x meet: q_v is v's
+    crossing with itself."""
+    return crossing_q(v, v, n), (v.log_x + n * v.log_Y) / (n + 1)
 
 
 def crossing_q(rising: ApproxVector, falling: ApproxVector, n: int) -> PrecisionReal:

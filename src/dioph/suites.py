@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from mpmath import mp
 
@@ -20,16 +20,15 @@ from . import bounds as bd
 from . import pgn
 from .numerics import (
     DEFAULT_TOL,
+    NAMED_CONSTANTS,
     InvalidPoint,
     PrecisionReal,
     at_precision,
     e_value,
     exp,
     format_real,
-    golden_value,
     log as nlog,
     sqrt,
-    sqrt2_value,
 )
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
@@ -119,15 +118,12 @@ def exhaustive_minmax(
     pool: Sequence[pgn.ApproxVector],
     q: PrecisionReal,
     n: int,
-    thin_to: Optional[int] = None,
 ) -> List[PrecisionReal]:
     """min over independent j-tuples of the max L value, j = 1..n+1, by
-    exhaustive search (over the whole pool unless thin_to is given)."""
+    exhaustive search over the whole pool."""
     scored = sorted(
         ((pgn.vector_L(v, q, n), v.x, v.y, i) for i, v in enumerate(pool))
     )
-    if thin_to is not None:
-        scored = scored[:thin_to]
     values = []
     for j in range(1, n + 2):
         best = None
@@ -138,7 +134,7 @@ def exhaustive_minmax(
             if best is None or worst < best:
                 best = worst
         if best is None:
-            raise pgn.InsufficientRank(f"thinned pool has rank below {j}")
+            raise pgn.InsufficientRank(f"pool has rank below {j}")
         values.append(best)
     return values
 
@@ -175,15 +171,6 @@ def _residual_bound(stated: str, bits: int) -> Tuple[PrecisionReal, str]:
     stated_value = PrecisionReal(stated, bits)
     bound = max(stated_value, 1000 * at_precision(DEFAULT_TOL, bits))
     return bound, stated if bound == stated_value else format_real(bound, 3)
-
-
-def _named_target(name: str, n: int, bits: int) -> pgn.TargetPoint:
-    values = {
-        "e": e_value,
-        "golden": golden_value,
-        "sqrt2": sqrt2_value,
-    }
-    return pgn.TargetPoint.veronese(values[name](bits), n, bits)
 
 
 def suite_constants(bits: int = 256) -> List[CheckResult]:
@@ -402,7 +389,7 @@ def suite_oracle(bits: int = 256, x_max: int = 100) -> List[CheckResult]:
     rng = random.Random(4817)
     for n in (1, 2, 3):
         for name in ("golden", "e", "sqrt2"):
-            target = _named_target(name, n, bits)
+            target = pgn.TargetPoint.veronese(NAMED_CONSTANTS[name](bits), n, bits)
             pool = pgn.enumerate_candidates(target, x_max, widen=1)
             seq = pgn.minimal_points(pool)
             got = [v.ints() for v in seq]
@@ -445,7 +432,7 @@ def _rounding_tol(value: PrecisionReal, bits: int) -> PrecisionReal:
 def suite_profile(bits: int = 256, x_max: int = 300) -> List[CheckResult]:
     out: List[CheckResult] = []
     n = 2
-    target = _named_target("e", n, bits)
+    target = pgn.TargetPoint.veronese(e_value(bits), n, bits)
     pool0 = pgn.enumerate_candidates(target, x_max, widen=0)
     pool1 = pgn.enumerate_candidates(target, x_max, widen=1)
     seq = pgn.minimal_points(pool1)

@@ -186,6 +186,42 @@ class TestDualBounds:
         assert ds.w_lower > ds.w_upper
 
 
+def hand_context(phi="0", rho="0", S="1.5", T="0") -> bd.BoundContext:
+    """n = 2, alpha = 1/2, beta = 1 and epsilon = 0, which satisfies the
+    hypothesis; the envelope quantities are set by hand."""
+    zero = PR(0)
+    return bd.BoundContext(2, PR("0.5"), PR(1), zero, zero, PR(phi), PR(rho), PR(S), PR(T))
+
+
+class TestDegenerateContexts:
+    @pytest.mark.parametrize(
+        "quantities, message",
+        [
+            ({"phi": "1"}, "alpha/beta - phi and beta - rho must stay positive"),
+            ({"rho": "2"}, "alpha/beta - phi and beta - rho must stay positive"),
+            ({"S": "10"}, "uniform lower-bound denominator is not positive"),
+        ],
+        ids=["d", "e", "denominator"],
+    )
+    def test_uniform_lower_bound_off_its_domain(self, quantities, message):
+        ctx = hand_context(**quantities)
+        with pytest.raises(bd.DegenerateContext) as exc:
+            bd.dual_bounds(ctx)
+        assert str(exc.value) == message
+        with pytest.raises(InvalidPoint) as exc:
+            bd._what_lower_value(ctx)
+        assert str(exc.value) == message
+
+    def test_ordinary_lower_bound_denominator(self):
+        # rho - beta + (beta + rho)^2 T = 0 - 1 + 1 = 0; the uniform bound
+        # e S / (d^-2 + e (1 - S)) = 1.5 / 3.5 is still defined
+        ctx = hand_context(T="1")
+        with pytest.raises(bd.DegenerateContext) as exc:
+            bd.dual_bounds(ctx)
+        assert str(exc.value) == "ordinary lower-bound denominator vanished"
+        assert bd._what_lower_value(ctx) == PR("1.5") / PR("3.5")
+
+
 class TestRegularGraphDuals:
     def test_dirichlet(self):
         fifth = PR(1) / 5

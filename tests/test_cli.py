@@ -83,10 +83,11 @@ class TestBoundsCommand:
         assert exc.value.code == 2
         assert "too coarse to separate tau(4) from sigma(4)" in capsys.readouterr().err
 
-    def test_nonpositive_tol_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf", "abc"])
+    def test_tol_not_a_positive_real_is_usage_error(self, capsys, tol):
         # the default tol is left to each solve; a given one is still checked
         with pytest.raises(SystemExit) as exc:
-            run_cli("bounds", "--n", "4", "--tol", "0")
+            run_cli("bounds", "--n", "4", "--tol", tol)
         assert exc.value.code == 2
         assert "tol must parse as a positive real" in capsys.readouterr().err
 
@@ -388,3 +389,29 @@ class TestSubprocessEntry:
     def test_low_precision_rejected(self):
         code, out, err = run_subprocess("--precision-bits", "32", "bounds", "--n", "2")
         assert code == 2
+
+
+class TestPrecisionBits:
+    def test_flag_wins_over_an_invalid_environment_value(self, monkeypatch):
+        monkeypatch.setenv("DIOPH_PRECISION_BITS", "abc")
+        code, out = run_cli("--precision-bits", "128", "bounds", "--n", "2")
+        assert code == 0
+        monkeypatch.delenv("DIOPH_PRECISION_BITS")
+        assert run_cli("bounds", "--n", "2", "--precision-bits", "128") == (code, out)
+
+    @pytest.mark.parametrize("value", ["abc", "32"])
+    def test_invalid_environment_value_is_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("DIOPH_PRECISION_BITS", value)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bounds", "--n", "2")
+        assert exc.value.code == 2
+        assert "error: DIOPH_PRECISION_BITS: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, message", [("abc", "invalid int value: 'abc'"), ("32", "precision_bits must be >= 64")]
+    )
+    def test_invalid_flag_is_usage_error(self, capsys, value, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bounds", "--n", "2", "--precision-bits", value)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err

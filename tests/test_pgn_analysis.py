@@ -2,7 +2,7 @@ import pytest
 
 from dioph import bounds as bd
 from dioph import pgn
-from dioph.numerics import PrecisionReal, golden_value, liouville_value, log as nlog
+from dioph.numerics import PrecisionReal, e_value, golden_value, liouville_value, log as nlog
 
 from conftest import moment_vector, synthetic_sequence
 
@@ -178,6 +178,24 @@ class TestIntersectionDiagnostics:
         seq, _ = golden_run(30, 5)
         with pytest.raises(pgn.InsufficientData):
             pgn.intersection_diagnostics(pgn.MinimalPointSequence(seq.points[:2]), 1)
+
+    def test_breakpoints_are_the_grid_points(self):
+        # simulate veronese:e --n 2 --xmax 10000: the rows and the q grid take
+        # every breakpoint from vector_min_point and crossing_q, so they agree
+        # exactly, not only to the 12 printed digits
+        n, x_max = 2, 10000
+        kept, _ = pgn.undominated_candidates(pgn.TargetPoint.veronese(e_value(), n), x_max, widen=1)
+        seq = pgn.minimal_points(kept)
+        q_min, q_max = PR("0.5"), nlog(PR(x_max))
+        grid = set(pgn.build_q_grid(seq, n, q_max, q_min=q_min))
+        rows = pgn.intersection_diagnostics(seq, n)
+        assert rows
+        for row in rows:
+            j = row.k - 1
+            assert row.q == pgn.vector_min_point(seq[j], n)[0]
+            assert row.r == pgn.crossing_q(seq[j], seq[j + 1], n)
+            for point in (row.q, row.r):
+                assert not q_min <= point <= q_max or point in grid
 
 
 class TestMomentCarriers:
