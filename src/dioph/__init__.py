@@ -40,7 +40,6 @@ from .bounds import (
 from .numerics import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOL,
-    Bracket,
     InvalidBracket,
     InvalidPoint,
     NoConvergence,

@@ -15,7 +15,6 @@ from typing import NamedTuple, Optional, Tuple
 
 from .numerics import (
     DEFAULT_PRECISION_BITS,
-    Bracket,
     InvalidPoint,
     PrecisionReal,
     Scalar,
@@ -85,6 +84,8 @@ class NoRoot(BoundsError):
 
 
 def _resolve_bits(precision_bits: Optional[int], *vals) -> int:
+    """precision_bits when given, else the largest precision among vals'
+    PrecisionReals, else DEFAULT_PRECISION_BITS."""
     if precision_bits is not None:
         return int(precision_bits)
     carried = [v.precision_bits for v in vals if isinstance(v, PrecisionReal)]
@@ -237,11 +238,11 @@ def dual_bounds(ctx: BoundContext) -> DualBoundSet:
         )
         raise HypothesisViolated(f"epsilon={format_real(ctx.epsilon, 6)} {side}")
     try:
-        what_lower = _what_lower_value(ctx)
+        d, e, d_n = _envelope(ctx)
+        what_lower = _uniform_lower(ctx, e, d_n)
     except InvalidPoint as ex:
         raise DegenerateContext(str(ex)) from None
-    d, e = _envelope(ctx)
-    what_upper = d**-ctx.n / e
+    what_upper = d_n / e
     w_upper = d ** -(ctx.n + 1) / e
 
     bp2 = (ctx.beta + ctx.rho) ** 2
@@ -311,7 +312,7 @@ def beta_for_equality(
         r = a / b
         return r * r * _geometric_slope(r, n - 1)
 
-    return find_root(f, Bracket(a, 2 * a / (1 - a), -1, 1), tol, df=df)
+    return find_root(f, a, 2 * a / (1 - a), tol, df=df)
 
 
 # -- even-n constants ---------------------------------------------------------
@@ -330,14 +331,14 @@ def tau(
     """
     if not isinstance(n, int) or n < 2 or n % 2:
         raise DomainError("n must be an even integer >= 2")
-    bits = precision_bits or DEFAULT_PRECISION_BITS
+    bits = _resolve_bits(precision_bits)
     one = PrecisionReal(1, bits)
     half_n = PrecisionReal(n, bits) / 2
 
     g = lambda u: _geometric_sum(u, u, n) - half_n
     dg = lambda u: _geometric_slope(u, n)
     lo = PrecisionReal(n, bits) / (n + 2)
-    u_root = find_root(g, Bracket(lo, one, -1, 1), tol, df=dg)
+    u_root = find_root(g, lo, one, tol, df=dg)
     return 2 * u_root / n
 
 
@@ -345,7 +346,7 @@ def laurent_odd_bound(n: int, precision_bits: Optional[int] = None) -> Precision
     """2/(n+1), the odd-n uniform simultaneous-approximation bound."""
     if not isinstance(n, int) or n < 3 or n % 2 == 0:
         raise DomainError("n must be an odd integer >= 3")
-    bits = precision_bits or DEFAULT_PRECISION_BITS
+    bits = _resolve_bits(precision_bits)
     return PrecisionReal(2, bits) / (n + 1)
 
 
@@ -373,30 +374,37 @@ def mu(
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError("n must be an integer >= 2")
-    bits = precision_bits or DEFAULT_PRECISION_BITS
+    bits = _resolve_bits(precision_bits)
     h = lambda u: n * u ** (n - 1) - (n - 1) * u ** (n + 1) - 1
     dh = lambda u: (n - 1) * u ** (n - 2) * (n - (n + 1) * u**2)
     right = PrecisionReal(n, bits) / (n + 1)
-    u = find_root(h, Bracket(PrecisionReal(0, bits), right, -1, 1), tol, df=dh)
+    u = find_root(h, PrecisionReal(0, bits), right, tol, df=dh)
     w = n + (n - 1) * u
     floor = PrecisionReal(2 * n - 2, bits)
     return MuValue(w, w if w > floor else floor)
 
 
-def _envelope(ctx: BoundContext) -> Tuple[PrecisionReal, PrecisionReal]:
-    """(alpha/beta - phi, beta - rho); InvalidPoint unless both are positive."""
+def _envelope(ctx: BoundContext) -> Tuple[PrecisionReal, PrecisionReal, PrecisionReal]:
+    """(d, e, d^-n) for d = alpha/beta - phi and e = beta - rho; InvalidPoint
+    unless d and e are positive."""
     d = ctx.alpha / ctx.beta - ctx.phi
     e = ctx.beta - ctx.rho
     if d.sign() <= 0 or e.sign() <= 0:
         raise InvalidPoint("alpha/beta - phi and beta - rho must stay positive")
-    return d, e
+    return d, e, d**-ctx.n
 
 
 def _what_lower_value(ctx: BoundContext) -> PrecisionReal:
-    """The uniform dual lower bound e S / (d^-n + e (1 - S)), (d, e) the
+    """The uniform dual lower bound e S / (d^-n + e (1 - S)), (d, e) as in
     ``_envelope``; InvalidPoint off its domain."""
-    d, e = _envelope(ctx)
-    den = d**-ctx.n + e * (1 - ctx.S)
+    _, e, d_n = _envelope(ctx)
+    return _uniform_lower(ctx, e, d_n)
+
+
+def _uniform_lower(ctx: BoundContext, e: PrecisionReal, d_n: PrecisionReal) -> PrecisionReal:
+    """e S / (d^-n + e (1 - S)) from the envelope's e and d^-n; InvalidPoint
+    unless the denominator is positive."""
+    den = d_n + e * (1 - ctx.S)
     if den.sign() <= 0:
         raise InvalidPoint("uniform lower-bound denominator is not positive")
     return e * ctx.S / den
@@ -417,7 +425,7 @@ def sigma(
     """
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
-    bits = precision_bits or DEFAULT_PRECISION_BITS
+    bits = _resolve_bits(precision_bits)
     return _sigma(n, bits, tol, mu(n, bits, tol).mu, tau(n, bits, tol))
 
 
@@ -455,7 +463,7 @@ def _sigma(
         s = sign(a)
         if s is not None:
             if s < 0:
-                return find_root(f, Bracket(a, tau_n, -1, 1), tol)
+                return find_root(f, a, tau_n, tol)
             break
         step = step / 2
         a = tau_n - step
@@ -467,12 +475,12 @@ def theta(
     tol: Optional[Scalar] = None,
 ) -> PrecisionReal:
     """Root of e^t / t = 2 sqrt(e) with t > 1, certified in (1, 3)."""
-    bits = precision_bits or DEFAULT_PRECISION_BITS
+    bits = _resolve_bits(precision_bits)
+    one, three = PrecisionReal(1, bits), PrecisionReal(3, bits)  # checks bits; e_value does not
     target = 2 * sqrt(e_value(bits))
     f = lambda t: exp(t) / t - target
     df = lambda t: exp(t) * (t - 1) / t**2
-    one, three = PrecisionReal(1, bits), PrecisionReal(3, bits)
-    return find_root(f, Bracket(one, three, -1, 1), tol, df=df)
+    return find_root(f, one, three, tol, df=df)
 
 
 def regular_graph_lambda_bound(
@@ -497,7 +505,7 @@ def regular_graph_lambda_bound(
     """
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
-    bits = precision_bits or DEFAULT_PRECISION_BITS
+    bits = _resolve_bits(precision_bits)
     return _regular_graph_bound(n, bits, tol, mu(n, bits, tol).mu)
 
 
@@ -508,7 +516,7 @@ def _regular_graph_bound(
     one = PrecisionReal(1, bits)
     g = lambda s: _geometric_sum(one, s, n) - mu_n
     dg = lambda s: _geometric_slope(s, n - 1)
-    s = find_root(g, Bracket(one, mu_n, -1, 1), tol, df=dg)
+    s = find_root(g, one, mu_n, tol, df=dg)
     return s ** (n - 1) / mu_n
 
 
@@ -520,7 +528,7 @@ def chi_estimate(
     """n^2 (2/n - tau_n); converges to the second-order coefficient ~3.18."""
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
-    bits = precision_bits or DEFAULT_PRECISION_BITS
+    bits = _resolve_bits(precision_bits)
     return _chi(n, bits, tau(n, bits, tol))
 
 
@@ -534,17 +542,14 @@ def _chi(n: int, bits: int, tau_n: PrecisionReal) -> PrecisionReal:
 def transfer_dual(
     n: int,
     psi: Scalar,
-    kind: str,
     precision_bits: Optional[int] = None,
 ) -> PrecisionReal:
     """Dual exponent from an extremal last-minimum slope via Mahler polarity.
 
-    kind 'liminf' maps the lower slope to the uniform dual exponent,
-    'limsup' the upper slope to the ordinary one; the identity is the same:
+    The lower slope maps to the uniform dual exponent and the upper slope
+    to the ordinary one by the same identity:
     result = ((n+1) / (n (1+psi)) - 1)^(-1), +inf at psi = 1/n.
     """
-    if kind not in ("liminf", "limsup"):
-        raise DomainError("kind must be 'liminf' or 'limsup'")
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
     bits = _resolve_bits(precision_bits, psi)
@@ -629,7 +634,7 @@ def lefths_solve(
     t0 = PrecisionReal(n, bits)
     if f(t0).sign() >= 0:
         return t0  # right side at (or numerically at) the minimum
-    return find_root(f, Bracket(t0, 2 * rhs, -1, 1), tol, df=df)
+    return find_root(f, t0, 2 * rhs, tol, df=df)
 
 
 def integer_approx_exponents(
@@ -641,7 +646,7 @@ def integer_approx_exponents(
     approximation, even n >= 4; the epsilon loss is the caller's concern."""
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
-    bits = precision_bits or DEFAULT_PRECISION_BITS
+    bits = _resolve_bits(precision_bits)
     return _integer_approx(n, sigma(n, bits, tol), theta(bits, tol))
 
 
@@ -664,14 +669,12 @@ class ConstantsReport:
     mu_n: Optional[PrecisionReal]
     regular_graph_bound: Optional[PrecisionReal]
     chi_estimate: Optional[PrecisionReal]
-    theta: PrecisionReal
     laurent_bound: Optional[PrecisionReal]
 
 
 def constants_report(
     n: int,
     precision_bits: Optional[int] = None,
-    theta_value: Optional[PrecisionReal] = None,
     tol: Optional[Scalar] = None,
 ) -> ConstantsReport:
     """One row of the constants table; sigma and the regular-graph bound
@@ -679,11 +682,11 @@ def constants_report(
 
     mu_n and tau_n are solved once and shared by every constant built on
     them; tol (None: the precision's default) is the width of every root.
+    Theta does not depend on n: ``theta`` solves it.
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError("n must be an integer >= 2")
-    bits = precision_bits or DEFAULT_PRECISION_BITS
-    th = theta_value if theta_value is not None else theta(bits, tol)
+    bits = _resolve_bits(precision_bits)
     w_n, mu_n = mu(n, bits, tol)
     if n % 2 == 0:
         tau_n = tau(n, bits, tol)
@@ -696,7 +699,6 @@ def constants_report(
             mu_n=mu_n,
             regular_graph_bound=_regular_graph_bound(n, bits, tol, mu_n) if big_enough else None,
             chi_estimate=_chi(n, bits, tau_n) if big_enough else None,
-            theta=th,
             laurent_bound=None,
         )
     return ConstantsReport(
@@ -707,6 +709,5 @@ def constants_report(
         mu_n=mu_n,
         regular_graph_bound=None,
         chi_estimate=None,
-        theta=th,
         laurent_bound=laurent_odd_bound(n, bits),
     )

@@ -39,7 +39,6 @@ __all__ = ["main", "build_parser"]
 POOL_CAP = 3 * 10**6
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 
@@ -83,8 +82,8 @@ def _parse_n_range(spec: str, even_only: bool) -> List[int]:
     return ns
 
 
-def _fmt_opt(v: Optional[PrecisionReal], significant: int = 12) -> Optional[str]:
-    return None if v is None else format_real(v, significant)
+def _fmt_opt(v: Optional[PrecisionReal]) -> Optional[str]:
+    return None if v is None else format_real(v)
 
 
 def _report_row(rep: bd.ConstantsReport) -> dict:
@@ -104,9 +103,9 @@ def _cmd_bounds(args, out) -> int:
     ns = _parse_n_range(args.n, args.even)
     bits, tol = args.precision_bits, args.tol
     theta = bd.theta(bits, tol)
-    reports = [bd.constants_report(n, bits, theta_value=theta, tol=tol) for n in ns]
+    reports = [bd.constants_report(n, bits, tol) for n in ns]
     rows = [_report_row(r) for r in reports]
-    theta_str = format_real(theta, 12)
+    theta_str = format_real(theta)
     if args.output_format == "json":
         print(dump_json({"theta": theta_str}), file=out)
         for row in rows:
@@ -131,22 +130,22 @@ def _cmd_theorem_new(args, out) -> int:
     ctx = bd.mm_defect(args.n, args.alpha, args.beta, args.precision_bits)
     payload = {
         "n": ctx.n,
-        "alpha": format_real(ctx.alpha, 12),
-        "beta": format_real(ctx.beta, 12),
-        "epsilon": format_real(ctx.epsilon, 12),
-        "threshold": format_real(ctx.threshold, 12),
-        "phi": format_real(ctx.phi, 12),
-        "rho": format_real(ctx.rho, 12),
-        "S": format_real(ctx.S, 12),
-        "T": format_real(ctx.T, 12),
+        "alpha": format_real(ctx.alpha),
+        "beta": format_real(ctx.beta),
+        "epsilon": format_real(ctx.epsilon),
+        "threshold": format_real(ctx.threshold),
+        "phi": format_real(ctx.phi),
+        "rho": format_real(ctx.rho),
+        "S": format_real(ctx.S),
+        "T": format_real(ctx.T),
     }
     ds = bd.dual_bounds(ctx)  # raises HypothesisViolated with exit code 3
     payload.update(
         {
-            "what_lower": format_real(ds.what_lower, 12),
-            "what_upper": format_real(ds.what_upper, 12),
-            "w_lower": format_real(ds.w_lower, 12),
-            "w_upper": format_real(ds.w_upper, 12),
+            "what_lower": format_real(ds.what_lower),
+            "what_upper": format_real(ds.what_upper),
+            "w_lower": format_real(ds.w_lower),
+            "w_upper": format_real(ds.w_upper),
         }
     )
     if args.output_format == "json":
@@ -226,7 +225,7 @@ def _cmd_simulate(args, out) -> int:
         "pool_size": pool_size,
         "records": len(seq),
         "profile_samples": len(samples),
-        "minkowski_defect": format_real(pgn.minkowski_defect(samples), 12),
+        "minkowski_defect": format_real(pgn.minkowski_defect(samples)),
         "estimates": estimates_to_dict(estimates),
         "files": files,
     }

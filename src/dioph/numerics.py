@@ -10,8 +10,7 @@ for concurrent use).
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -49,7 +48,6 @@ __all__ = [
     "DEFAULT_PRECISION_BITS",
     "DEFAULT_TOL",
     "PrecisionReal",
-    "Bracket",
     "NumericsError",
     "InvalidBracket",
     "NoConvergence",
@@ -80,7 +78,7 @@ class NumericsError(Exception):
 
 
 class InvalidBracket(NumericsError):
-    """The endpoint signs of a bracket agree; no root is certified."""
+    """A bracket with lo >= hi, or with the same sign of f at both ends."""
 
 
 class NoConvergence(NumericsError):
@@ -333,14 +331,14 @@ def golden_value(bits: int = DEFAULT_PRECISION_BITS) -> PrecisionReal:
     return PrecisionReal._make(v, bits)
 
 
-def liouville_value(bits: int = DEFAULT_PRECISION_BITS, terms: int = 10) -> PrecisionReal:
-    """Truncated Liouville-type constant sum(10^(-m!), m=1..terms).
+def liouville_value(bits: int = DEFAULT_PRECISION_BITS) -> PrecisionReal:
+    """Truncated Liouville-type constant sum(10^(-m!), m=1..10).
 
     Terms below 2^-(bits+16) relative to the sum round away and are skipped.
     """
     digits_needed = int((bits + 16) * 0.30103) + 4
     fact, included = 1, []
-    for m in range(1, terms + 1):
+    for m in range(1, 11):
         fact *= m
         if fact > digits_needed:
             break
@@ -389,24 +387,6 @@ def format_real(x: Scalar, significant: int = 12) -> str:
 # -- bracketed root finding --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """A sign-certified interval: f has opposite signs at lo and hi."""
-
-    lo: PrecisionReal
-    hi: PrecisionReal
-    f_lo_sign: int
-    f_hi_sign: int
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise InvalidBracket("bracket requires lo < hi")
-        if self.f_lo_sign not in (-1, 1) or self.f_hi_sign not in (-1, 1):
-            raise InvalidBracket("endpoint signs must be -1 or +1")
-        if self.f_lo_sign == self.f_hi_sign:
-            raise InvalidBracket("endpoint signs agree; no root certified")
-
-
 def _target_width(lo: PrecisionReal, hi: PrecisionReal, tol: PrecisionReal) -> PrecisionReal:
     """tol times the larger of |lo|, |hi| and 1: the width a root is solved to."""
     return tol * max(abs(lo), abs(hi), PrecisionReal(1, tol.precision_bits))
@@ -414,11 +394,12 @@ def _target_width(lo: PrecisionReal, hi: PrecisionReal, tol: PrecisionReal) -> P
 
 def find_root(
     f: Callable[[PrecisionReal], Scalar],
-    bracket: Bracket,
+    lo: PrecisionReal,
+    hi: PrecisionReal,
     tol: Optional[Scalar] = None,
     df: Optional[Callable[[PrecisionReal], Scalar]] = None,
 ) -> PrecisionReal:
-    """Shrink a certified bracket until its width is below tol (relative)
+    """Shrink the bracket [lo, hi] until its width is below tol (relative)
     and return its midpoint.
 
     Without df every step bisects.  With df, the derivative of f, each step
@@ -433,11 +414,12 @@ def find_root(
     chooses the points: a wrong df costs evaluations, never the certificate.
 
     tol None is at_precision(DEFAULT_TOL, bits) at the bracket's precision.
-    Deterministic; never leaves the bracket.  Raises InvalidBracket when the
-    endpoint signs of f agree, NoConvergence when the working precision is
-    exhausted before reaching the width target.
+    Deterministic; never leaves the bracket.  Raises InvalidBracket unless
+    lo < hi and the endpoint signs of f differ, NoConvergence when the
+    working precision is exhausted before reaching the width target.
     """
-    lo, hi = bracket.lo, bracket.hi
+    if not lo < hi:
+        raise InvalidBracket("bracket requires lo < hi")
     bits = max(lo.precision_bits, hi.precision_bits)
     tol = at_precision(DEFAULT_TOL, bits) if tol is None else _as_real(tol, bits)
     if tol.sign() <= 0:
@@ -494,8 +476,9 @@ def scan_brackets(
     lo: Scalar,
     hi: Scalar,
     steps: int,
-) -> List[Bracket]:
-    """All sign-change subintervals of a uniform grid, in increasing order.
+) -> List[Tuple[PrecisionReal, PrecisionReal]]:
+    """All sign-change subintervals (lo, hi) of a uniform grid, in increasing
+    order.
 
     f is evaluated once at each grid point, from left to right.  Points
     where f raises InvalidPoint, returns None, or returns NaN are invalid;
@@ -523,16 +506,11 @@ def scan_brackets(
     found = []
     for i in range(steps):
         a, b = signs[i], signs[i + 1]
-        if a is None or b is None or (a == 0 and b == 0):
+        if a is None or b is None or a == b:
             continue
-        if a == 0:
-            # grid point is itself a root; unless the previous cell already
-            # certified it, emit a bracket whose refinement returns it
-            if i > 0 and signs[i - 1] not in (None, 0):
-                continue
-            found.append(Bracket(xs[i], xs[i + 1], -b, b))
-        elif b == 0:
-            found.append(Bracket(xs[i], xs[i + 1], a, -a))
-        elif a != b:
-            found.append(Bracket(xs[i], xs[i + 1], a, b))
+        # a grid point that is itself a root starts a bracket whose
+        # refinement returns it, unless the previous cell already certified it
+        if a == 0 and i > 0 and signs[i - 1] not in (None, 0):
+            continue
+        found.append((xs[i], xs[i + 1]))
     return found

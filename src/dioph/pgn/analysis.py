@@ -96,8 +96,8 @@ def estimate_exponents(
     psi_high = max(psis)
 
     ceiling = PrecisionReal(1, psi_low.precision_bits) / n
-    w_hat_est = transfer_dual(n, psi_low if psi_low <= ceiling else ceiling, "liminf")
-    w_est = transfer_dual(n, psi_high if psi_high <= ceiling else ceiling, "limsup")
+    w_hat_est = transfer_dual(n, psi_low if psi_low <= ceiling else ceiling)
+    w_est = transfer_dual(n, psi_high if psi_high <= ceiling else ceiling)
 
     return ExponentEstimates(
         lambda_est=lambda_est,

@@ -33,6 +33,13 @@ from .numerics import (
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
+# the corollary suite's seeded collapse points
+COROLLARY_POINTS = 200
+COROLLARY_SEED = 20260809
+# the largest x of the oracle and profile suites' pools
+ORACLE_X_MAX = 100
+PROFILE_X_MAX = 300
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -180,7 +187,7 @@ def suite_constants(bits: int = 256) -> List[CheckResult]:
         out.append(CheckResult("constants", name, bool(ok), detail))
 
     th = bd.theta(bits)
-    reports = {n: bd.constants_report(n, bits, theta_value=th) for n in (2, 4, 6, 8, 10, 12, 20)}
+    reports = {n: bd.constants_report(n, bits) for n in (2, 4, 6, 8, 10, 12, 20)}
 
     tau_targets = {2: "0.618033", 4: "0.370635", 6: "0.268185", 20: "0.092803"}
     for n, digits in tau_targets.items():
@@ -320,11 +327,11 @@ def suite_constants(bits: int = 256) -> List[CheckResult]:
     return out
 
 
-def suite_corollary(bits: int = 256, count: int = 200, seed: int = 20260809) -> List[CheckResult]:
-    rng = random.Random(seed)
+def suite_corollary(bits: int = 256) -> List[CheckResult]:
+    rng = random.Random(COROLLARY_SEED)
     allowed = PrecisionReal("1e-10", bits)
     out: List[CheckResult] = []
-    for i in range(count):
+    for i in range(COROLLARY_POINTS):
         n = rng.randint(2, 8)
         a = rng.uniform(1.0 / n, 0.9)
         alpha = PrecisionReal(a, bits)
@@ -384,16 +391,16 @@ def suite_monotonicity(bits: int = 256) -> List[CheckResult]:
     return out
 
 
-def suite_oracle(bits: int = 256, x_max: int = 100) -> List[CheckResult]:
+def suite_oracle(bits: int = 256) -> List[CheckResult]:
     out: List[CheckResult] = []
     rng = random.Random(4817)
     for n in (1, 2, 3):
         for name in ("golden", "e", "sqrt2"):
             target = pgn.TargetPoint.veronese(NAMED_CONSTANTS[name](bits), n, bits)
-            pool = pgn.enumerate_candidates(target, x_max, widen=1)
+            pool = pgn.enumerate_candidates(target, ORACLE_X_MAX, widen=1)
             seq = pgn.minimal_points(pool)
             got = [v.ints() for v in seq]
-            expect = box_records(target, x_max, "2")
+            expect = box_records(target, ORACLE_X_MAX, "2")
             out.append(
                 CheckResult(
                     "oracle",
@@ -429,14 +436,14 @@ def _rounding_tol(value: PrecisionReal, bits: int) -> PrecisionReal:
     return max(PrecisionReal("1e-60", bits), scale * at_precision(0, bits))
 
 
-def suite_profile(bits: int = 256, x_max: int = 300) -> List[CheckResult]:
+def suite_profile(bits: int = 256) -> List[CheckResult]:
     out: List[CheckResult] = []
     n = 2
     target = pgn.TargetPoint.veronese(e_value(bits), n, bits)
-    pool0 = pgn.enumerate_candidates(target, x_max, widen=0)
-    pool1 = pgn.enumerate_candidates(target, x_max, widen=1)
+    pool0 = pgn.enumerate_candidates(target, PROFILE_X_MAX, widen=0)
+    pool1 = pgn.enumerate_candidates(target, PROFILE_X_MAX, widen=1)
     seq = pgn.minimal_points(pool1)
-    q_max = nlog(PrecisionReal(x_max, bits))
+    q_max = nlog(PrecisionReal(PROFILE_X_MAX, bits))
     grid = pgn.build_q_grid(seq, n, q_max, count=40)
     prof0 = pgn.profile(pool0, grid, n)
     prof1 = pgn.profile(pool1, grid, n)

@@ -141,7 +141,7 @@ def test_criterion_06_asymptotics():
 
 def test_criterion_07_corollary_collapse():
     t0 = time.perf_counter()
-    results = suite_corollary(count=200)
+    results = suite_corollary()
     elapsed = time.perf_counter() - t0
     failing = [r for r in results if not r.ok]
     report(7, "regular-graph collapse suite", not failing, elapsed, 10.0,

@@ -185,6 +185,13 @@ class TestDualBounds:
         ds = bd.dual_bounds(bd.mm_defect(4, "0.3706", "0.5"))
         assert ds.w_lower > ds.w_upper
 
+    def test_envelope_evaluated_once(self):
+        # d, e and d^-n serve both the lower and the upper bounds
+        ctx = bd.mm_defect(4, "0.3706", "0.5")
+        with patch.object(bd, "_envelope", wraps=bd._envelope) as spy:
+            bd.dual_bounds(ctx)
+        assert spy.call_count == 1
+
 
 def hand_context(phi="0", rho="0", S="1.5", T="0") -> bd.BoundContext:
     """n = 2, alpha = 1/2, beta = 1 and epsilon = 0, which satisfies the
@@ -496,7 +503,7 @@ class TestSigma:
 
         found = scan_brackets(f, PR(1) / 1000, bd.tau(4), 1000)
         assert found
-        lo, hi = found[-1].lo, found[-1].hi
+        lo, hi = found[-1]
         assert lo < PR("0.37063") < hi
 
     def test_domain_errors(self):
@@ -567,28 +574,26 @@ class TestChiEstimate:
 class TestTransferDual:
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_zero_slope_gives_n(self, n):
-        assert abs(bd.transfer_dual(n, 0, "liminf") - n) < PR("1e-70")
+        assert abs(bd.transfer_dual(n, 0) - n) < PR("1e-70")
 
     def test_ceiling_gives_infinity(self):
-        assert not bd.transfer_dual(3, PR(1) / 3, "liminf").is_finite
+        assert not bd.transfer_dual(3, PR(1) / 3).is_finite
 
     def test_direct_arithmetic(self):
-        v = bd.transfer_dual(2, "-0.1", "limsup")
+        v = bd.transfer_dual(2, "-0.1")
         assert close(v, "1.5", "1e-70")
 
     def test_domain_errors(self):
         with pytest.raises(bd.DomainError):
-            bd.transfer_dual(2, "-1", "liminf")
+            bd.transfer_dual(2, "-1")
         with pytest.raises(bd.DomainError):
-            bd.transfer_dual(2, "0.6", "liminf")
-        with pytest.raises(bd.DomainError):
-            bd.transfer_dual(2, 0, "limSup")
+            bd.transfer_dual(2, "0.6")
 
     @pytest.mark.parametrize("w", ["0.5", "1", "3", "17.25"])
     def test_roundtrip_identity(self, w):
         for n in (1, 2, 5):
             psi = bd.dual_to_psi(n, PR(w))
-            back = bd.transfer_dual(n, psi, "limsup")
+            back = bd.transfer_dual(n, psi)
             assert abs(back - PR(w)) < PR("1e-25")
 
     @pytest.mark.parametrize("psi", ["-0.9", "-0.1", "0", "0.05"])
@@ -596,7 +601,7 @@ class TestTransferDual:
         n = 3
         if PR(psi) > PR(1) / n:
             return
-        w = bd.transfer_dual(n, psi, "liminf")
+        w = bd.transfer_dual(n, psi)
         assert abs(bd.dual_to_psi(n, w) - PR(psi)) < PR("1e-25")
 
 
@@ -676,7 +681,7 @@ class TestIntegerApproxExponents:
     def test_formula_over_the_constants_report(self, n):
         # verify constants feeds the same formula from its reports
         rep = bd.constants_report(n)
-        assert bd.integer_approx_exponents(n) == (1 / rep.sigma_n + 1, n / rep.theta + 1)
+        assert bd.integer_approx_exponents(n) == (1 / rep.sigma_n + 1, n / bd.theta() + 1)
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     def test_conditional_beats_unconditional_scale(self, n):
@@ -754,3 +759,14 @@ class TestDefaultTolAtEveryPrecision:
         for g, r in zip(got, ref):
             assert g.precision_bits == bits
             assert abs(g - r) <= bound * abs(r), (g, r)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [*SOLVERS_AT.values(), lambda bits: bd.laurent_odd_bound(3, bits)],
+    ids=[*SOLVERS_AT, "laurent_odd_bound"],
+)
+def test_zero_precision_bits_is_rejected(solve):
+    # a given precision_bits is used as given, never replaced by the default
+    with pytest.raises(ValueError, match="precision_bits must be a positive integer"):
+        solve(0)

@@ -68,7 +68,7 @@ def test_envelope_sums_bounded_when_defect_nonnegative(n, a, spread):
 )
 def test_transfer_roundtrip(n, psi):
     assume(psi < 1.0 / n)
-    w = bd.transfer_dual(n, PR(psi), "liminf")
+    w = bd.transfer_dual(n, PR(psi))
     back = bd.dual_to_psi(n, w)
     assert abs(back - PR(psi)) < PR("1e-25")
 
@@ -82,8 +82,8 @@ def test_transfer_roundtrip(n, psi):
 def test_transfer_monotone_in_slope(n, lo, d):
     hi = lo + d
     assume(hi < 1.0 / n)
-    w_lo = bd.transfer_dual(n, PR(lo), "liminf")
-    w_hi = bd.transfer_dual(n, PR(hi), "limsup")
+    w_lo = bd.transfer_dual(n, PR(lo))
+    w_hi = bd.transfer_dual(n, PR(hi))
     assert w_lo <= w_hi
 
 
@@ -110,12 +110,12 @@ def test_lefths_root_on_increasing_branch_with_zero_residual(n, om):
 
 
 def solved_bracket(solve):
-    """Run solve() and return its result with the (f, bracket) of its one
+    """Run solve() and return its result with the (f, lo, hi) of its one
     find_root call, or None when it returned without one."""
     with patch.object(bd, "find_root", wraps=bd.find_root) as spy:
         result = solve()
     assert spy.call_count <= 1
-    return result, (spy.call_args.args[:2] if spy.call_count else None)
+    return result, (spy.call_args.args[:3] if spy.call_count else None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,9 +135,9 @@ def test_beta0_bracket_has_certified_endpoint_signs(n, frac, bits):
     if solved is None:
         assert beta == alpha  # alpha = 1/n exactly
         return
-    f, br = solved
-    assert f(br.lo).sign() < 0 < f(br.hi).sign()
-    assert br.lo <= beta <= br.hi
+    f, lo, hi = solved
+    assert f(lo).sign() < 0 < f(hi).sign()
+    assert lo <= beta <= hi
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,10 +153,10 @@ def test_lefths_bracket_has_certified_endpoint_signs(n, om, bits):
     if solved is None:
         assert root == n  # the right side is at the branch point's minimum
         return
-    f, br = solved
-    assert br.lo == n
-    assert f(br.lo).sign() < 0 < f(br.hi).sign()
-    assert br.lo <= root <= br.hi
+    f, lo, hi = solved
+    assert lo == n
+    assert f(lo).sign() < 0 < f(hi).sign()
+    assert lo <= root <= hi
 
 
 def alpha_above(n: int, x: float, bits: int) -> PR:
@@ -189,13 +189,13 @@ def test_newton_steps_agree_with_bisection(name, n, x, bits):
         NEWTON_SOLVES[name](n, x, bits)
     assert spy.call_count >= 1 or name == "lefths"  # lefths returns n at omega = n
     for call in spy.call_args_list:
-        f, br = call.args[:2]
+        f, lo, hi = call.args[:3]
         assert call.kwargs["df"] is not None
         tol = at_precision(DEFAULT_TOL, bits)
-        newton = find_root(f, br, tol, df=call.kwargs["df"])
-        bisection = find_root(f, br, tol)
-        assert br.lo <= newton <= br.hi
-        assert abs(newton - bisection) <= tol * max(abs(br.lo), abs(br.hi), PR(1, bits))
+        newton = find_root(f, lo, hi, tol, df=call.kwargs["df"])
+        bisection = find_root(f, lo, hi, tol)
+        assert lo <= newton <= hi
+        assert abs(newton - bisection) <= tol * max(abs(lo), abs(hi), PR(1, bits))
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,6 @@ from mpmath import mp
 
 from dioph.numerics import (
     DEFAULT_TOL,
-    Bracket,
     InvalidBracket,
     InvalidPoint,
     NoConvergence,
@@ -113,59 +112,59 @@ class TestFormatReal:
 
 class TestFindRoot:
     def test_sqrt2(self):
-        root = find_root(lambda t: t * t - 2, Bracket(PR(1), PR(2), -1, 1), "1e-30")
+        root = find_root(lambda t: t * t - 2, PR(1), PR(2), "1e-30")
         assert abs(root - sqrt(PR(2))) < PR("1e-29")
 
     def test_growth_equation(self):
         # e^t / t = 2 sqrt(e), bracket (1, 3), the 1.7564... constant
         target = 2 * sqrt(e_value(256))
-        root = find_root(lambda t: exp(t) / t - target, Bracket(PR(1), PR(3), -1, 1), "1e-12")
+        root = find_root(lambda t: exp(t) / t - target, PR(1), PR(3), "1e-12")
         assert abs(root - PR("1.7564")) < PR("5e-5")
 
     def test_linear(self):
-        root = find_root(lambda t: t - 5, Bracket(PR(4), PR(6), -1, 1), "1e-10")
+        root = find_root(lambda t: t - 5, PR(4), PR(6), "1e-10")
         assert abs(root - 5) < PR("1e-9")
 
     def test_mirrored_bracket_agrees(self):
         f = lambda t: t * t - 2
         g = lambda t: 2 - t * t
-        r1 = find_root(f, Bracket(PR(1), PR(2), -1, 1), "1e-30")
-        r2 = find_root(g, Bracket(PR(1), PR(2), 1, -1), "1e-30")
+        r1 = find_root(f, PR(1), PR(2), "1e-30")
+        r2 = find_root(g, PR(1), PR(2), "1e-30")
         assert abs(r1 - r2) < PR("1e-29")
 
     def test_monotone_accuracy_vs_analytic(self):
-        root = find_root(lambda t: t**3 - 8, Bracket(PR(1), PR(3), -1, 1), "1e-30")
+        root = find_root(lambda t: t**3 - 8, PR(1), PR(3), "1e-30")
         assert abs(root - 2) < PR("1e-29")
 
     def test_doubling_precision_keeps_stable_digits(self):
-        r1 = find_root(lambda t: t * t - 2, Bracket(PR(1, 256), PR(2, 256), -1, 1), "1e-30")
-        r2 = find_root(lambda t: t * t - 2, Bracket(PR(1, 512), PR(2, 512), -1, 1), "1e-30")
+        r1 = find_root(lambda t: t * t - 2, PR(1, 256), PR(2, 256), "1e-30")
+        r2 = find_root(lambda t: t * t - 2, PR(1, 512), PR(2, 512), "1e-30")
         assert abs(r1 - r2) < PR("1e-29")
 
     def test_invalid_bracket_rejected(self):
-        with pytest.raises(InvalidBracket):
-            Bracket(PR(1), PR(2), 1, 1)
-        with pytest.raises(InvalidBracket):
-            Bracket(PR(2), PR(1), -1, 1)
-        with pytest.raises(InvalidBracket):
-            find_root(lambda t: t * t + 1, Bracket(PR(1), PR(2), -1, 1), "1e-10")
+        def f(t):
+            raise AssertionError("f is not evaluated on an empty bracket")
+
+        for lo, hi in ((PR(2), PR(1)), (PR(1), PR(1))):
+            with pytest.raises(InvalidBracket, match="bracket requires lo < hi"):
+                find_root(f, lo, hi, "1e-10")
+        with pytest.raises(InvalidBracket, match="same sign"):
+            find_root(lambda t: t * t + 1, PR(1), PR(2), "1e-10")
 
     def test_no_convergence_when_precision_too_low(self):
-        b = Bracket(PR(1, 64), PR(2, 64), -1, 1)
         with pytest.raises(NoConvergence):
-            find_root(lambda t: t * t - 2, b, "1e-40")
+            find_root(lambda t: t * t - 2, PR(1, 64), PR(2, 64), "1e-40")
 
     def test_deterministic(self):
         f = lambda t: t * t * t - t - 1
-        b = Bracket(PR(1), PR(2), -1, 1)
-        assert find_root(f, b, "1e-30") == find_root(f, b, "1e-30")
+        assert find_root(f, PR(1), PR(2), "1e-30") == find_root(f, PR(1), PR(2), "1e-30")
 
     @pytest.mark.parametrize("bits", [64, 72, 80, 96, 128, 256])
     def test_default_tol_is_reachable_at_every_precision(self, bits):
         # a fixed 1e-30 stalls below about 100 bits
-        b = Bracket(PR(1, bits), PR(2, bits), -1, 1)
-        root = find_root(lambda t: t * t - 2, b)
-        assert root == find_root(lambda t: t * t - 2, b, at_precision(DEFAULT_TOL, bits))
+        lo, hi = PR(1, bits), PR(2, bits)
+        root = find_root(lambda t: t * t - 2, lo, hi)
+        assert root == find_root(lambda t: t * t - 2, lo, hi, at_precision(DEFAULT_TOL, bits))
         assert abs(root - sqrt(PR(2, 512))) <= 2 * at_precision(DEFAULT_TOL, bits)
 
 
@@ -178,7 +177,7 @@ class TestNewtonSteps:
             evals.append(t)
             return t * t - 2
 
-        root = find_root(f, Bracket(PR(1, bits), PR(2, bits), -1, 1), df=df)
+        root = find_root(f, PR(1, bits), PR(2, bits), df=df)
         assert all(1 <= t <= 2 for t in evals)  # never outside the bracket
         return root, len(evals)
 
@@ -223,8 +222,8 @@ class TestAtPrecision:
 
 class TestScan:
     def test_square_grid(self):
-        [br] = scan_brackets(lambda t: t * t - 2, 0, 2, 4)
-        assert float(br.lo) == 1.0 and float(br.hi) == 1.5
+        [(lo, hi)] = scan_brackets(lambda t: t * t - 2, 0, 2, 4)
+        assert float(lo) == 1.0 and float(hi) == 1.5
 
     def test_cosine_grid(self):
         from mpmath import cos
@@ -233,8 +232,8 @@ class TestScan:
             with mp.workprec(256):
                 return PR(cos(t.value))
 
-        [br] = scan_brackets(f, 0, 4, 8)
-        assert float(br.lo) == 1.5 and float(br.hi) == 2.0
+        [(lo, hi)] = scan_brackets(f, 0, 4, 8)
+        assert float(lo) == 1.5 and float(hi) == 2.0
 
     def test_no_sign_change(self):
         assert scan_brackets(lambda t: t * t + 1, 0, 2, 8) == []
@@ -245,22 +244,22 @@ class TestScan:
                 raise InvalidPoint("left half undefined")
             return t - PR("0.75")
 
-        [br] = scan_brackets(f, 0, 1, 8)
-        assert float(br.lo) == 0.625 and float(br.hi) == 0.75
+        [(lo, hi)] = scan_brackets(f, 0, 1, 8)
+        assert float(lo) == 0.625 and float(hi) == 0.75
 
     def test_none_and_multiple_brackets(self):
         # two roots, both landing exactly on grid points
         f = lambda t: (t - 1) * (t - 2)
         found = scan_brackets(f, 0, 3, 6)
         assert len(found) == 2
-        r1 = find_root(f, found[0], "1e-30")
-        r2 = find_root(f, found[1], "1e-30")
+        r1 = find_root(f, *found[0], "1e-30")
+        r2 = find_root(f, *found[1], "1e-30")
         assert float(r1) == 1.0 and float(r2) == 2.0
 
     def test_first_bracket_returned(self):
         f = lambda t: (t - 1) * (t - 2)
-        br = scan_brackets(f, 0, 3, 6)[0]
-        assert float(br.hi) <= 1.5
+        _, hi = scan_brackets(f, 0, 3, 6)[0]
+        assert float(hi) <= 1.5
 
     def test_zero_run_before_sign(self):
         # flat-zero stretch followed by a sign: the boundary root survives
@@ -269,7 +268,7 @@ class TestScan:
 
         found = scan_brackets(f, 0, 3, 6)
         assert found
-        root = find_root(f, found[0], "1e-30")
+        root = find_root(f, *found[0], "1e-30")
         assert float(f(root)) == 0.0
 
 
@@ -285,11 +284,9 @@ def eager_scan(values):
         if a == 0:
             if i > 0 and signs[i - 1] not in (None, 0):
                 continue  # the previous cell already certified this root
-            found.append((i, i + 1, -b, b))
-        elif b == 0:
-            found.append((i, i + 1, a, -a))
-        elif a != b:
-            found.append((i, i + 1, a, b))
+            found.append((i, i + 1))
+        elif b == 0 or a != b:
+            found.append((i, i + 1))
     return found
 
 
@@ -309,4 +306,4 @@ def test_scan_brackets_matches_the_oracle(values):
         return v
 
     found = scan_brackets(f, 0, steps, steps)
-    assert [(int(b.lo), int(b.hi), b.f_lo_sign, b.f_hi_sign) for b in found] == eager_scan(values)
+    assert [(int(lo), int(hi)) for lo, hi in found] == eager_scan(values)

@@ -29,8 +29,8 @@ class TestEstimateExponents:
     def test_transfer_consistency_exact(self):
         seq, prof = golden_run(2000, 60)
         est = pgn.estimate_exponents(seq, prof, 1)
-        assert est.w_hat_est == bd.transfer_dual(1, est.psi_low_est, "liminf")
-        assert est.w_est == bd.transfer_dual(1, est.psi_high_est, "limsup")
+        assert est.w_hat_est == bd.transfer_dual(1, est.psi_low_est)
+        assert est.w_est == bd.transfer_dual(1, est.psi_high_est)
 
     def test_psi_ordering_and_range(self):
         seq, prof = golden_run(2000, 60)
