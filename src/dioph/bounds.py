@@ -650,9 +650,9 @@ def integer_approx_exponents(
     return _integer_approx(n, sigma(n, bits, tol), theta(bits, tol))
 
 
-def _integer_approx(n: int, sigma_n: PrecisionReal, theta_value: PrecisionReal) -> Tuple[PrecisionReal, PrecisionReal]:
+def _integer_approx(n: int, sigma_n: PrecisionReal, th: PrecisionReal) -> Tuple[PrecisionReal, PrecisionReal]:
     """(1/sigma_n + 1, n/Theta + 1) from solved constants."""
-    return (1 / sigma_n + 1, n / theta_value + 1)
+    return (1 / sigma_n + 1, n / th + 1)
 
 
 # -- per-n summary -------------------------------------------------------------
