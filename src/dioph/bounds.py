@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from .numerics import (
     DEFAULT_PRECISION_BITS,
+    DEFAULT_TOL,
     InvalidPoint,
     PrecisionReal,
     Scalar,
@@ -110,20 +111,6 @@ def _geometric_sum(first: PrecisionReal, ratio: PrecisionReal, count: int) -> Pr
     return first * (1 - ratio**count) / (1 - ratio)
 
 
-def _geometric_slope(x: PrecisionReal, m: int) -> PrecisionReal:
-    """d/dx (1 + x + ... + x^m) = 1 + 2x + ... + m x^(m-1), by Horner."""
-    acc = PrecisionReal(m, x.precision_bits)
-    for k in range(m - 1, 0, -1):
-        acc = acc * x + k
-    return acc
-
-
-def _epsilon_value(n: int, alpha: PrecisionReal, ratio: PrecisionReal) -> PrecisionReal:
-    """The defect 1 - sum_{j=1}^{n} alpha^j / beta^(j-1) at ratio = alpha/beta,
-    via the geometric closed form."""
-    return 1 - _geometric_sum(alpha, ratio, n)
-
-
 # -- the defect and Theorem-level dual bounds --------------------------------
 
 
@@ -201,7 +188,7 @@ def mm_defect(
     one = PrecisionReal(1, bits)
     zero = PrecisionReal(0, bits)
     r = a / b
-    eps = _epsilon_value(n, a, r)
+    eps = 1 - _geometric_sum(a, r, n)  # the geometric closed form of the sum
     gap = b - a
     smaller = a if a <= gap else gap
     threshold = r**n * smaller / (4 * n)
@@ -276,20 +263,20 @@ def beta_for_equality(
     precision_bits: Optional[int] = None,
     tol: Optional[Scalar] = None,
 ) -> PrecisionReal:
-    """The unique beta >= alpha with zero defect, certified by find_root
-    with Newton steps.
+    """The unique beta >= alpha with zero defect, alpha/r for the root r of
+    g(r) = alpha (1 + r + ... + r^(n-1)) - 1, the defect's negative at
+    r = alpha/beta, certified by find_root.
 
-    The defect increases with beta.  It is 1 - n alpha < 0 at beta = alpha,
-    and at beta = 2 alpha / (1 - alpha), where alpha/beta = (1 - alpha)/2,
-    it exceeds 1 - alpha / (1 - alpha/beta) = (1 - alpha)/(1 + alpha) > 0.
-    (At alpha / (1 - alpha) the defect is (1 - alpha)^n, which rounds to
-    zero at 64 bits already for n = 30, alpha = 0.8.)  With r = alpha/beta,
-    the defect is 1 - alpha (1 + r + ... + r^(n-1)) and its derivative in
-    beta is r^2 (1 + 2r + ... + (n-1) r^(n-2)).
+    g increases for r > 0.  g(1) = n alpha - 1 > 0 for alpha above 1/n, and
+    g((1 - alpha)/2) < alpha/(1 - r) - 1 = 2 alpha/(1 + alpha) - 1 < 0, so
+    ((1 - alpha)/2, 1) brackets the root.  (At r = 1 - alpha, g is
+    -(1 - alpha)^n, which rounds to zero at 64 bits already for n = 30,
+    alpha = 0.8.)  r is solved to tol times the bracket's lower end, which
+    r exceeds, so the relative width of r, and of beta, stays below tol.
 
-    The result is the midpoint of the final bracket, so its defect may be
-    negative at the tol level: at 64 bits (tol 2^-56), n = 2 and
-    alpha = 0.51 give epsilon = -3.14e-18.  ``BoundContext.zero_defect``
+    The result is alpha over the midpoint of the final bracket, so its
+    defect may be negative at the tol level: at 64 bits (tol 2^-56), n = 4
+    and alpha = 0.6 give epsilon = -5.42e-19.  ``BoundContext.zero_defect``
     counts that as zero; a caller that needs epsilon >= 0 must solve at a
     tighter tol.
     """
@@ -300,19 +287,17 @@ def beta_for_equality(
     if a >= 1:
         raise DomainError("alpha must be below 1 (at 1 the ordinary exponent is infinite)")
 
-    at_alpha = _epsilon_value(n, a, PrecisionReal(1, bits))  # beta = alpha: 1 - n*alpha
+    one = PrecisionReal(1, bits)
+    g = lambda r: _geometric_sum(a, r, n) - 1
+    at_alpha = g(one)  # r = 1, beta = alpha: n alpha - 1
     if at_alpha == 0:
         return a
-    if at_alpha > 0:
+    if at_alpha < 0:
         raise DomainError("alpha below 1/n: no zero-defect beta with beta >= alpha")
 
-    f = lambda b: _epsilon_value(n, a, a / b)
-
-    def df(b: PrecisionReal) -> PrecisionReal:
-        r = a / b
-        return r * r * _geometric_slope(r, n - 1)
-
-    return find_root(f, a, 2 * a / (1 - a), tol, df=df)
+    lo = (1 - a) / 2
+    r_tol = (at_precision(DEFAULT_TOL, bits) if tol is None else _as_real(tol, bits)) * lo
+    return a / find_root(g, lo, one, r_tol)
 
 
 # -- even-n constants ---------------------------------------------------------
@@ -336,9 +321,8 @@ def tau(
     half_n = PrecisionReal(n, bits) / 2
 
     g = lambda u: _geometric_sum(u, u, n) - half_n
-    dg = lambda u: _geometric_slope(u, n)
     lo = PrecisionReal(n, bits) / (n + 2)
-    u_root = find_root(g, lo, one, tol, df=dg)
+    u_root = find_root(g, lo, one, tol)
     return 2 * u_root / n
 
 
@@ -376,9 +360,8 @@ def mu(
         raise DomainError("n must be an integer >= 2")
     bits = _resolve_bits(precision_bits)
     h = lambda u: n * u ** (n - 1) - (n - 1) * u ** (n + 1) - 1
-    dh = lambda u: (n - 1) * u ** (n - 2) * (n - (n + 1) * u**2)
     right = PrecisionReal(n, bits) / (n + 1)
-    u = find_root(h, PrecisionReal(0, bits), right, tol, df=dh)
+    u = find_root(h, PrecisionReal(0, bits), right, tol)
     w = n + (n - 1) * u
     floor = PrecisionReal(2 * n - 2, bits)
     return MuValue(w, w if w > floor else floor)
@@ -476,11 +459,10 @@ def theta(
 ) -> PrecisionReal:
     """Root of e^t / t = 2 sqrt(e) with t > 1, certified in (1, 3)."""
     bits = _resolve_bits(precision_bits)
-    one, three = PrecisionReal(1, bits), PrecisionReal(3, bits)  # checks bits; e_value does not
+    one, three = PrecisionReal(1, bits), PrecisionReal(3, bits)
     target = 2 * sqrt(e_value(bits))
     f = lambda t: exp(t) / t - target
-    df = lambda t: exp(t) * (t - 1) / t**2
-    return find_root(f, one, three, tol, df=df)
+    return find_root(f, one, three, tol)
 
 
 def regular_graph_lambda_bound(
@@ -499,9 +481,10 @@ def regular_graph_lambda_bound(
 
         1 + s + s^2 + ... + s^(n-1) = mu_n.
 
-    Its left side is increasing for s > 0, equals n < mu_n at s = 1 and
-    exceeds mu_n at s = mu_n, so (1, mu_n) is a certified bracket holding
-    the unique root, and the bound is alpha = s^(n-1)/mu_n.
+    Its left side increases for s > 0 and is n < mu_n at s = 1.  For s > 1,
+    s^k > 1 + k (s - 1) for k >= 2 (Bernoulli), so the left side exceeds
+    n + n(n-1)/2 (s - 1), which is mu_n at s = 1 + 2 (mu_n - n)/(n(n-1)).
+    That bracket holds the unique root, and the bound is s^(n-1)/mu_n.
     """
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
@@ -515,8 +498,7 @@ def _regular_graph_bound(
     """regular_graph_lambda_bound(n) from mu_n already in hand."""
     one = PrecisionReal(1, bits)
     g = lambda s: _geometric_sum(one, s, n) - mu_n
-    dg = lambda s: _geometric_slope(s, n - 1)
-    s = find_root(g, one, mu_n, tol, df=dg)
+    s = find_root(g, one, 1 + 2 * (mu_n - n) / (n * (n - 1)), tol)
     return s ** (n - 1) / mu_n
 
 
@@ -628,13 +610,10 @@ def lefths_solve(
     def f(t: PrecisionReal) -> PrecisionReal:
         return (1 + t) * (1 + 1 / t) ** n - rhs
 
-    def df(t: PrecisionReal) -> PrecisionReal:
-        return (1 + 1 / t) ** n * (t - n) / t
-
     t0 = PrecisionReal(n, bits)
     if f(t0).sign() >= 0:
         return t0  # right side at (or numerically at) the minimum
-    return find_root(f, t0, 2 * rhs, tol, df=df)
+    return find_root(f, t0, 2 * rhs, tol)
 
 
 def integer_approx_exponents(

@@ -92,6 +92,14 @@ class InvalidPoint(NumericsError):
 Scalar = Union["PrecisionReal", int, float, str]
 
 
+def _positive_bits(bits: int) -> int:
+    """bits as an int; ValueError below 1, where libmp gives 0-bit values or hangs."""
+    bits = int(bits)
+    if bits < 1:
+        raise ValueError("precision_bits must be a positive integer")
+    return bits
+
+
 def _rounded(op: Callable, reflected: bool = False) -> Callable:
     """The binary operator op(x, y, bits, rounding) on PrecisionReal, rounded
     at the larger of the two precisions; reflected swaps the operands."""
@@ -117,9 +125,7 @@ class PrecisionReal:
     __slots__ = ("raw", "precision_bits")
 
     def __init__(self, value: Scalar, precision_bits: Optional[int] = None):
-        bits = DEFAULT_PRECISION_BITS if precision_bits is None else int(precision_bits)
-        if bits < 1:
-            raise ValueError("precision_bits must be a positive integer")
+        bits = DEFAULT_PRECISION_BITS if precision_bits is None else _positive_bits(precision_bits)
         if isinstance(value, PrecisionReal):
             raw = value.raw
             if precision_bits is None:
@@ -313,19 +319,23 @@ def sqrt(x: Scalar) -> PrecisionReal:
 
 
 def pi_value(bits: int = DEFAULT_PRECISION_BITS) -> PrecisionReal:
+    bits = _positive_bits(bits)
     return PrecisionReal._make(mpf_pi(bits, RND), bits)
 
 
 def e_value(bits: int = DEFAULT_PRECISION_BITS) -> PrecisionReal:
+    bits = _positive_bits(bits)
     return PrecisionReal._make(mpf_e(bits, RND), bits)
 
 
 def sqrt2_value(bits: int = DEFAULT_PRECISION_BITS) -> PrecisionReal:
+    bits = _positive_bits(bits)
     return PrecisionReal._make(mpf_sqrt(from_int(2), bits, RND), bits)
 
 
 def golden_value(bits: int = DEFAULT_PRECISION_BITS) -> PrecisionReal:
     """The golden ratio (1 + sqrt 5)/2."""
+    bits = _positive_bits(bits)
     s5 = mpf_sqrt(from_int(5), bits + 8, RND)
     v = mpf_div(mpf_add(fone, s5, bits + 8, RND), from_int(2), bits, RND)
     return PrecisionReal._make(v, bits)
@@ -336,6 +346,7 @@ def liouville_value(bits: int = DEFAULT_PRECISION_BITS) -> PrecisionReal:
 
     Terms below 2^-(bits+16) relative to the sum round away and are skipped.
     """
+    bits = _positive_bits(bits)
     digits_needed = int((bits + 16) * 0.30103) + 4
     fact, included = 1, []
     for m in range(1, 11):
@@ -397,21 +408,21 @@ def find_root(
     lo: PrecisionReal,
     hi: PrecisionReal,
     tol: Optional[Scalar] = None,
-    df: Optional[Callable[[PrecisionReal], Scalar]] = None,
 ) -> PrecisionReal:
     """Shrink the bracket [lo, hi] until its width is below tol (relative)
     and return its midpoint.
 
-    Without df every step bisects.  With df, the derivative of f, each step
-    tries a Newton step from the latest iterate, which is always an end of
-    the bracket (at first the end where |f| is smaller).  The step is taken
-    when it lands strictly inside the bracket and is at most half the step
-    before last; otherwise the step bisects.  Once a Newton step is shorter
-    than half the target width, f is probed that far past the Newton
-    estimate, on the far side, so a sign change there closes the bracket
-    around the estimate; a probe without one is followed by a bisection.
-    Every point taken updates the bracket by the sign of f, so df only
-    chooses the points: a wrong df costs evaluations, never the certificate.
+    Each step tries a secant step from the latest point taken, always an end
+    of the bracket (at first the end where |f| is smaller), with the slope
+    through the point taken before it (at first the other end).  The step is
+    taken when it lands strictly inside the bracket and is at most half the
+    step before last; otherwise the step bisects.  A step shorter than half
+    the target width, even one that rounds to nothing, becomes a probe that
+    far past the estimate, on the far side, so a sign change there closes
+    the bracket around it; a probe must lie strictly inside the bracket,
+    and one without a sign change is followed by a bisection.  Every point
+    taken updates the bracket by the sign of f, so the slopes only choose
+    the points: a poor slope costs evaluations, never the certificate.
 
     tol None is at_precision(DEFAULT_TOL, bits) at the bracket's precision.
     Deterministic; never leaves the bracket.  Raises InvalidBracket unless
@@ -435,7 +446,8 @@ def find_root(
     if s_lo == s_hi:
         raise InvalidBracket("f has the same sign at both endpoints")
 
-    x, fx = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    # (x, fx) is the latest point taken, (w, fw) the one before it
+    x, fx, w, fw = (lo, f_lo, hi, f_hi) if abs(f_lo) <= abs(f_hi) else (hi, f_hi, lo, f_lo)
     probed = False  # the last point taken was a closing probe
     last = before = 2 * (hi - lo)  # the last two step lengths
     for _ in range(4 * bits + 128):
@@ -447,19 +459,20 @@ def find_root(
                 "bisection stalled before reaching tol; increase precision_bits"
             )
         t = mid
-        d = None if df is None or probed else _as_real(df(x), bits)
-        probed = False
-        if d and d.is_finite:
-            step = fx / d
+        if probed or fx == fw:
+            probed = False
+        else:
+            step = fx * (x - w) / (fx - fw)
             est = x - step
-            if lo < est < hi and abs(step) <= before / 2:
-                t = est
+            if step.is_finite:
                 half = _target_width(est, est, tol) / 2
                 if abs(step) < half:
                     probe = est - half if step > 0 else est + half
                     t, probed = (probe, True) if lo < probe < hi else (mid, False)
-        fx = _as_real(f(t), bits)
-        s_t = fx.sign()
+                elif lo < est < hi and abs(step) <= before / 2:
+                    t = est
+        f_t = _as_real(f(t), bits)
+        s_t = f_t.sign()
         if s_t == 0:
             return t
         if s_t == s_lo:
@@ -467,7 +480,7 @@ def find_root(
         else:
             hi = t
         before, last = last, abs(t - x)
-        x = t
+        w, fw, x, fx = x, fx, t, f_t
     raise NoConvergence("iteration budget exhausted")
 
 

@@ -1,10 +1,28 @@
-"""Shared helpers: synthetic record sequences with exact geometric schedules."""
+"""Shared helpers: synthetic record sequences with exact geometric schedules,
+and a plain bisection that root-finding tests compare against."""
 
 from typing import List, Tuple
 
 import pytest
 
 from dioph import ApproxVector, MinimalPointSequence, PrecisionReal
+
+
+def bisect_root(f, lo: PrecisionReal, hi: PrecisionReal, tol: PrecisionReal):
+    """Oracle for find_root: halve [lo, hi] by the sign of f until its width
+    is at most tol * max(|lo|, |hi|, 1); return (midpoint, evaluations of f).
+    An exact zero of f ends no search: it takes the place of hi, so the
+    count depends only on the bracket and tol."""
+    s_lo = f(lo).sign()
+    assert s_lo * f(hi).sign() < 0, "not a sign-change bracket"
+    evals = 2
+    one = PrecisionReal(1, tol.precision_bits)
+    while hi - lo > tol * max(abs(lo), abs(hi), one):
+        mid = (lo + hi) / 2
+        assert lo < mid < hi, "bisection stalled"
+        evals += 1
+        lo, hi = (mid, hi) if f(mid).sign() == s_lo else (lo, mid)
+    return (lo + hi) / 2, evals
 
 
 def moment_vector(m: int, n: int) -> Tuple[int, ...]:

@@ -260,12 +260,12 @@ class TestRegularGraphDuals:
         assert str(info.value) == "epsilon=-2.00000e+400000000 is not zero at 256 bits"
 
     def test_accepts_beta0_solved_at_64_bits(self):
-        # the corollary suite's first draw: |epsilon| = 3.8e-19, above 1e-20
+        # the corollary suite's draw #002: |epsilon| = 1.1e-19, above 1e-20
         # but within the 64-bit zero bound at_precision(1e-20, 64) = 2^-56
-        alpha = PR(0.8401017289768682, 64)
-        beta = bd.beta_for_equality(2, alpha, 64)
-        assert PR("1e-20") < abs(bd.mm_defect(2, alpha, beta).epsilon) <= at_precision(0, 64)
-        bd.regular_graph_duals(2, alpha, beta)
+        alpha = PR(0.5088572854417048, 64)
+        beta = bd.beta_for_equality(8, alpha, 64)
+        assert PR("1e-20") < abs(bd.mm_defect(8, alpha, beta).epsilon) <= at_precision(0, 64)
+        bd.regular_graph_duals(8, alpha, beta)
 
     @pytest.mark.parametrize("bits", [64, 96])
     def test_rejects_off_graph_pairs_below_256_bits(self, bits):
@@ -312,7 +312,7 @@ class TestBetaForEquality:
         betas = [bd.beta_for_equality(3, PR(a)) for a in ("0.4", "0.5", "0.6", "0.7")]
         assert all(a < b for a, b in zip(betas, betas[1:]))
 
-    def test_newton_steps_take_few_evaluations(self):
+    def test_secant_steps_take_few_evaluations(self):
         # bisection takes about 100 at 256 bits
         [evals] = find_root_evals(lambda: bd.beta_for_equality(8, "0.5"))
         assert evals <= 15
@@ -366,6 +366,12 @@ class TestTau:
         # consistency: the displayed sigma_6 digits sit just below the
         # certified tau_6, as they must
         assert PR("0.268183") < bd.sigma(6) < bd.tau(6) < PR("0.268186")
+
+    @pytest.mark.parametrize("n", range(2, 31, 2))
+    def test_few_evaluations_at_64_bits(self, n):
+        # a step shorter than an ulp once sent 30-50 bisections after it
+        [evals] = find_root_evals(lambda: bd.tau(n, 64))
+        assert evals <= 15
 
     def test_precision_doubling_stability(self):
         t256 = bd.tau(6, 256)
@@ -441,7 +447,7 @@ class TestMu:
         assert spy.call_count == 1
 
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_newton_steps_take_few_evaluations(self, n):
+    def test_secant_steps_take_few_evaluations(self, n):
         [evals] = find_root_evals(lambda: bd.mu(n))
         assert evals <= 20
 
@@ -484,11 +490,17 @@ class TestSigma:
         s = PR(s, 512)
         assert f(s * (1 - off)).sign() < 0 < f(s * (1 + off)).sign()
 
+    @pytest.mark.parametrize("n", range(4, 13, 2))
+    def test_few_evaluations(self, n):
+        # bisection takes about 90 at 256 bits
+        evals = find_root_evals(lambda: bd.sigma(n))[-1]
+        assert evals <= 25
+
     def test_tol_too_coarse_to_separate_from_tau(self):
-        # solved to tol 1e-3, tau(4) comes out 3e-4 relative below the root,
+        # solved to tol 4e-3, tau(4) comes out 2e-4 relative below the root,
         # which puts it under sigma(4)
         with pytest.raises(ValueError, match="too coarse"):
-            bd.sigma(4, tol="1e-3")
+            bd.sigma(4, tol="4e-3")
 
     def test_scan_example_bracket_near_sigma4(self):
         # scanning the implicit-equation defect over (0, 1) locates sigma_4
@@ -555,6 +567,13 @@ class TestRegularGraphLambdaBound:
             b0 = bd.beta_for_equality(n, a, tol="1e-60")
             resid = abs(b0 ** (n - 1) / a**n - bd.mu(n).mu)
             assert resid < PR("1e-20"), n
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("n", [4, 12, 18, 30, 200])
+    def test_few_evaluations(self, n, bits):
+        # bisection takes about 60 at 64 bits and 100 at 256 bits
+        evals = find_root_evals(lambda: bd.regular_graph_lambda_bound(n, bits))[-1]
+        assert evals <= 15
 
     def test_domain(self):
         with pytest.raises(bd.DomainError):

@@ -2,6 +2,7 @@
 
 from unittest.mock import patch
 
+from conftest import bisect_root
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -124,7 +125,7 @@ def solved_bracket(solve):
     frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
     bits=st.sampled_from([64, 128, 256]),
 )
-# alpha = 0.8 and 0.602: the defect (1 - alpha)^n at beta = alpha/(1 - alpha) rounds to 0
+# alpha = 0.8 and 0.602: the defect (1 - alpha)^n at r = 1 - alpha rounds to 0
 @example(n=30, frac=0.7931034482758621, bits=64)
 @example(n=200, frac=0.6, bits=256)
 def test_beta0_bracket_has_certified_endpoint_signs(n, frac, bits):
@@ -135,9 +136,9 @@ def test_beta0_bracket_has_certified_endpoint_signs(n, frac, bits):
     if solved is None:
         assert beta == alpha  # alpha = 1/n exactly
         return
-    f, lo, hi = solved
+    f, lo, hi = solved  # the bracket is in r = alpha/beta
     assert f(lo).sign() < 0 < f(hi).sign()
-    assert lo <= beta <= hi
+    assert alpha / hi <= beta <= alpha / lo
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,9 +166,10 @@ def alpha_above(n: int, x: float, bits: int) -> PR:
     return inv + PR("0.9", bits) * (1 - inv) * PR(x, bits)
 
 
-NEWTON_SOLVES = {
+ROOT_SOLVES = {
     "tau": lambda n, x, bits: bd.tau(2 * (n // 2), bits),
     "mu": lambda n, x, bits: bd.mu(n, bits),
+    "sigma": lambda n, x, bits: bd.sigma(2 * max(2, n // 4), bits),
     "regular_graph": lambda n, x, bits: bd.regular_graph_lambda_bound(2 * max(2, n // 2), bits),
     "beta0": lambda n, x, bits: bd.beta_for_equality(n, alpha_above(n, x, bits), bits),
     "lefths": lambda n, x, bits: bd.lefths_solve(n, PR(10, bits) ** int(12 * x - 6), bits),
@@ -177,25 +179,24 @@ NEWTON_SOLVES = {
 
 @settings(max_examples=60, deadline=None)
 @given(
-    name=st.sampled_from(sorted(NEWTON_SOLVES)),
+    name=st.sampled_from(sorted(ROOT_SOLVES)),
     n=st.integers(min_value=2, max_value=30),
     x=st.floats(min_value=0.01, max_value=1.0, exclude_max=True, allow_nan=False),
     bits=st.sampled_from([64, 128, 256]),
 )
-def test_newton_steps_agree_with_bisection(name, n, x, bits):
-    # every find_root call the solver makes with a derivative returns a
-    # point of its input bracket within tol * scale of plain bisection's
+def test_roots_agree_with_bisection(name, n, x, bits):
+    # every find_root call a solver makes returns a point of its input
+    # bracket within tol * scale of plain bisection's
     with patch.object(bd, "find_root", wraps=bd.find_root) as spy:
-        NEWTON_SOLVES[name](n, x, bits)
+        ROOT_SOLVES[name](n, x, bits)
     assert spy.call_count >= 1 or name == "lefths"  # lefths returns n at omega = n
     for call in spy.call_args_list:
-        f, lo, hi = call.args[:3]
-        assert call.kwargs["df"] is not None
-        tol = at_precision(DEFAULT_TOL, bits)
-        newton = find_root(f, lo, hi, tol, df=call.kwargs["df"])
-        bisection = find_root(f, lo, hi, tol)
-        assert lo <= newton <= hi
-        assert abs(newton - bisection) <= tol * max(abs(lo), abs(hi), PR(1, bits))
+        f, lo, hi, tol = call.args
+        tol = at_precision(DEFAULT_TOL, bits) if tol is None else PR(tol, bits)
+        root = find_root(f, lo, hi, tol)
+        bisection, _ = bisect_root(f, lo, hi, tol)
+        assert lo <= root <= hi
+        assert abs(root - bisection) <= tol * max(abs(lo), abs(hi), PR(1, bits))
 
 
 @settings(max_examples=40, deadline=None)

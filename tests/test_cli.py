@@ -77,9 +77,9 @@ class TestBoundsCommand:
                     assert abs(float(c[key]) - float(f[key])) < 1e-7 * abs(float(f[key]))
 
     def test_tol_too_coarse_for_sigma_is_usage_error(self, capsys):
-        # at 1e-3 the solved tau(4) lies below sigma(4) (tau - sigma ~ 6e-6)
+        # at 4e-3 the solved tau(4) lies below sigma(4) (tau - sigma ~ 6e-6)
         with pytest.raises(SystemExit) as exc:
-            run_cli("bounds", "--n", "4", "--tol", "1e-3")
+            run_cli("bounds", "--n", "4", "--tol", "4e-3")
         assert exc.value.code == 2
         assert "too coarse to separate tau(4) from sigma(4)" in capsys.readouterr().err
 
