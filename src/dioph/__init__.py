@@ -17,7 +17,6 @@ from .bounds import (
     DualBoundSet,
     HypothesisViolated,
     MuValue,
-    NoRoot,
     NotRegularGraph,
     beta_for_equality,
     chi_estimate,

@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional, Tuple
 from .numerics import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOL,
+    InvalidBracket,
     InvalidPoint,
     PrecisionReal,
     Scalar,
@@ -34,7 +35,6 @@ __all__ = [
     "HypothesisViolated",
     "DegenerateContext",
     "NotRegularGraph",
-    "NoRoot",
     "BoundContext",
     "DualBoundSet",
     "MuValue",
@@ -80,10 +80,6 @@ class NotRegularGraph(BoundsError):
     """(alpha, beta) does not satisfy the exponent identity within tolerance."""
 
 
-class NoRoot(BoundsError):
-    """No certified sign change was found for an implicit equation."""
-
-
 def _resolve_bits(precision_bits: Optional[int], *vals) -> int:
     """precision_bits when given, else the largest precision among vals'
     PrecisionReals, else DEFAULT_PRECISION_BITS."""
@@ -99,6 +95,13 @@ def _positive_alpha(alpha: Scalar, bits: int) -> PrecisionReal:
     if not a.is_finite or a.sign() <= 0:
         raise DomainError("alpha must be finite and positive")
     return a
+
+
+def _tol_above(lo: PrecisionReal, tol: Optional[Scalar]) -> PrecisionReal:
+    """tol (None: the precision's default) times lo: the absolute width that
+    keeps a root above lo, of a bracket below 1, within tol relative."""
+    bits = lo.precision_bits
+    return (at_precision(DEFAULT_TOL, bits) if tol is None else _as_real(tol, bits)) * lo
 
 
 def _geometric_sum(first: PrecisionReal, ratio: PrecisionReal, count: int) -> PrecisionReal:
@@ -296,8 +299,7 @@ def beta_for_equality(
         raise DomainError("alpha below 1/n: no zero-defect beta with beta >= alpha")
 
     lo = (1 - a) / 2
-    r_tol = (at_precision(DEFAULT_TOL, bits) if tol is None else _as_real(tol, bits)) * lo
-    return a / find_root(g, lo, one, r_tol)
+    return a / find_root(g, lo, one, _tol_above(lo, tol))
 
 
 # -- even-n constants ---------------------------------------------------------
@@ -310,20 +312,26 @@ def tau(
 ) -> PrecisionReal:
     """Root of (n/2)^n t^(n+1) - (n/2+1) t + 1 inside (2/(n+2), 2/n), even n.
 
-    Solved in the well-scaled variable u = (n/2) t, in which the equation
-    deflated by its trivial endpoint root t = 2/n reads
-    u + u^2 + ... + u^n = n/2 with clean endpoint signs.
+    Deflated by its trivial root t = 2/n, the equation reads
+    u + u^2 + ... + u^n = n/2 in u = (n/2) t.  It is solved in v = 1 - u,
+    the distance to that trivial root, as g(v) = sum_k (1 - v)^k - n/2,
+    which decreases in v.  At v = 2/(n+2) (t = 2/(n+2)), the sum is below
+    u/(1 - u) = n/2, so g < 0.  At v = 1/(n+1), Bernoulli gives
+    sum_k (1 - v)^k > n - v n(n+1)/2 = n/2, so g > 0, and
+    (1/(n+1), 2/(n+2)) brackets the root.  v is solved to
+    tol times the bracket's lower end, so its relative width, and that of
+    chi_n = n^2 (2/n - tau_n) = 2 n v, stays below tol.  Then
+    tau_n = 2 (1 - v)/n.
     """
     if not isinstance(n, int) or n < 2 or n % 2:
         raise DomainError("n must be an even integer >= 2")
     bits = _resolve_bits(precision_bits)
-    one = PrecisionReal(1, bits)
     half_n = PrecisionReal(n, bits) / 2
 
-    g = lambda u: _geometric_sum(u, u, n) - half_n
-    lo = PrecisionReal(n, bits) / (n + 2)
-    u_root = find_root(g, lo, one, tol)
-    return 2 * u_root / n
+    g = lambda v: _geometric_sum(1 - v, 1 - v, n) - half_n
+    lo = PrecisionReal(1, bits) / (n + 1)
+    v = find_root(g, lo, PrecisionReal(2, bits) / (n + 2), _tol_above(lo, tol))
+    return 2 * (1 - v) / n
 
 
 def laurent_odd_bound(n: int, precision_bits: Optional[int] = None) -> PrecisionReal:
@@ -393,6 +401,16 @@ def _uniform_lower(ctx: BoundContext, e: PrecisionReal, d_n: PrecisionReal) -> P
     return e * ctx.S / den
 
 
+def _cleared(ctx: BoundContext, mu_n: PrecisionReal) -> PrecisionReal:
+    """h = e d^n (S - mu_n (1 - S)) - mu_n, W - mu_n with its denominator
+    cleared (see ``_sigma``); -mu_n where ``_envelope`` refuses."""
+    try:
+        _, e, d_n = _envelope(ctx)
+    except InvalidPoint:
+        return -mu_n
+    return e * (ctx.S - mu_n * (1 - ctx.S)) / d_n - mu_n
+
+
 def sigma(
     n: int,
     precision_bits: Optional[int] = None,
@@ -401,10 +419,9 @@ def sigma(
     """Root of the implicit equation W_alpha = mu_n at beta = 2/n, even n >= 4.
 
     W_alpha is the uniform dual lower bound built from the defect at
-    beta = 2/n; it is undefined (an invalid point) where the envelope
-    quantities leave their admissible range.  The root lies in (1/n, tau_n)
-    and is bracketed from tau_n by a dyadic walk (see ``_sigma``); a tol too
-    coarse to separate tau_n from sigma_n is a ValueError.
+    beta = 2/n.  The root lies in (1/n, tau_n), which brackets it once the
+    equation's denominator is cleared (see ``_sigma``); a tol too coarse to
+    separate tau_n from sigma_n is a ValueError.
     """
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError("n must be an even integer >= 4")
@@ -417,40 +434,31 @@ def _sigma(
 ) -> PrecisionReal:
     """sigma(n) from mu_n and tau_n already in hand.
 
-    f is positive at the exact tau_n.  A tau_n solved so coarsely that f is
-    not positive there does not lie above sigma_n: that tol is a ValueError.
-    Otherwise f is evaluated at tau_n - (tau_n - 1/n)/2^k for k = 1, 2, ...
-    until the point rounds to tau_n, skipping invalid points.  The first
-    valid point and tau_n bracket the root when f is negative there; any
-    other outcome is NoRoot.
+    With d, e and d^-n from ``_envelope``, W = e S / den for
+    den = d^-n + e (1 - S).  Clearing the denominator gives
+
+        h(alpha) = e d^n (S - mu_n (1 - S)) - mu_n = d^n den (W - mu_n),
+
+    which has no pole.  Where d, e and den are positive, h has the sign of
+    W - mu_n.  Where d, e > 0 but den <= 0 (the pole just above tau_n),
+    S > 1, so h = d^n (e S - mu_n den) > 0.  Where ``_envelope`` refuses
+    (d <= 0 or e <= 0), h is -mu_n, its limit as e d^n -> 0, so h stays
+    continuous.  At alpha = 1/n, epsilon = 1 - (2/n)(1 - 2^-n) >= 1/2, so
+    phi = epsilon 2^(n+1) n > 1/2 = alpha/beta and d < 0: h(1/n) = -mu_n.
+    h is positive from sigma_n to past the pole (to 5.1e-3 above tau_n at
+    n = 4, 7.1e-8 at n = 200), so (1/n, tau_n) brackets sigma_n.  A tau_n
+    solved so coarsely that h is not positive there lies below sigma_n or
+    beyond that range: that tol is a ValueError.
     """
     beta = PrecisionReal(2, bits) / n
-
-    def f(a: PrecisionReal) -> PrecisionReal:
-        return _what_lower_value(mm_defect(n, a, beta, bits)) - mu_n
-
-    def sign(a: PrecisionReal) -> Optional[int]:
-        try:
-            return f(a).sign()
-        except InvalidPoint:
-            return None
-
-    if sign(tau_n) != 1:
+    h = lambda a: _cleared(mm_defect(n, a, beta, bits), mu_n)
+    try:
+        return find_root(h, PrecisionReal(1, bits) / n, tau_n, tol)
+    except InvalidBracket:
         raise ValueError(
             f"tol is too coarse to separate tau({n}) from sigma({n}):"
             f" f is not positive at the solved tau({n}); use a finer tol"
-        )
-    step = (tau_n - PrecisionReal(1, bits) / n) / 2
-    a = tau_n - step
-    while a < tau_n:
-        s = sign(a)
-        if s is not None:
-            if s < 0:
-                return find_root(f, a, tau_n, tol)
-            break
-        step = step / 2
-        a = tau_n - step
-    raise NoRoot(f"no certified sign change for sigma({n}) below tau({n})")
+        ) from None
 
 
 def theta(

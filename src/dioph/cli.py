@@ -325,7 +325,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except (bd.DomainError, bd.HypothesisViolated, bd.NotRegularGraph, bd.DegenerateContext) as ex:
         print(dump_json({"error": type(ex).__name__, "message": str(ex)}), file=out)
         return EXIT_DOMAIN
-    except (bd.NoRoot, NumericsError, pgn.PgnError) as ex:
+    except (NumericsError, pgn.PgnError) as ex:
         print(dump_json({"error": type(ex).__name__, "message": str(ex)}), file=out)
         return EXIT_NUMERIC
     except ValueError as ex:

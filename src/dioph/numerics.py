@@ -138,8 +138,6 @@ class PrecisionReal:
             raw = from_float(value, bits, RND)
         elif isinstance(value, str):
             raw = from_str(value, bits, RND)
-        elif isinstance(value, tuple) and len(value) == 4:
-            raw = value
         else:
             mpf_attr = getattr(value, "_mpf_", None)
             if mpf_attr is None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
-__all__ = ["IntBasis", "int_rank", "independent"]
+__all__ = ["IntBasis", "int_rank"]
 
 
 def _primitive(row: List[int]) -> List[int]:
@@ -70,9 +70,3 @@ def int_rank(rows: Iterable[Sequence[int]]) -> int:
     for r in rows:
         basis.try_add(r)
     return basis.count
-
-
-def independent(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether the given integer vectors are linearly independent."""
-    rows = list(rows)
-    return int_rank(rows) == len(rows)

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from mpmath.libmp import from_man_exp, mpf_cmp
 
-from ..numerics import DEFAULT_PRECISION_BITS, RND, PrecisionReal, Scalar, log
+from ..numerics import DEFAULT_PRECISION_BITS, RND, PrecisionReal, Scalar, _positive_bits, log
 
 __all__ = [
     "PgnError",
@@ -67,7 +67,7 @@ class TargetPoint:
         label: Optional[str] = None,
     ) -> "TargetPoint":
         """(xi, xi^2, ..., xi^n), each power recomputed at the working precision."""
-        bits = precision_bits or DEFAULT_PRECISION_BITS
+        bits = DEFAULT_PRECISION_BITS if precision_bits is None else _positive_bits(precision_bits)
         if n < 1:
             raise ValueError("n must be positive")
         base = PrecisionReal(xi, bits)
@@ -79,7 +79,7 @@ class TargetPoint:
 
     @classmethod
     def explicit(cls, coords: Sequence[Scalar], precision_bits: Optional[int] = None) -> "TargetPoint":
-        bits = precision_bits or DEFAULT_PRECISION_BITS
+        bits = DEFAULT_PRECISION_BITS if precision_bits is None else _positive_bits(precision_bits)
         vals = tuple(PrecisionReal(c, bits) for c in coords)
         if not vals:
             raise ValueError("at least one coordinate required")

@@ -492,15 +492,25 @@ class TestSigma:
 
     @pytest.mark.parametrize("n", range(4, 13, 2))
     def test_few_evaluations(self, n):
-        # bisection takes about 90 at 256 bits
-        evals = find_root_evals(lambda: bd.sigma(n))[-1]
-        assert evals <= 25
+        # the defects evaluated once mu_n and tau_n are solved; bisection
+        # takes about 90 at 256 bits
+        mu_n, tau_n = bd.mu(n).mu, bd.tau(n)
+        with patch.object(bd, "mm_defect", wraps=bd.mm_defect) as spy:
+            bd._sigma(n, 256, None, mu_n, tau_n)
+        assert spy.call_count <= 15
+
+    @pytest.mark.parametrize("n", [4, 6, 12, 30, 200])
+    def test_cleared_equation_at_left_end(self, n):
+        # d < 0 at alpha = 1/n, where the cleared equation is -mu_n
+        mu_n = bd.mu(n).mu
+        assert bd._cleared(bd.mm_defect(n, PR(1) / n, PR(2) / n), mu_n) == -mu_n
 
     def test_tol_too_coarse_to_separate_from_tau(self):
-        # solved to tol 4e-3, tau(4) comes out 2e-4 relative below the root,
-        # which puts it under sigma(4)
+        # solved to tol 1e-3, tau(4) comes out 2.5e-5 below its root, which
+        # puts it under sigma(4) (tau - sigma ~ 6e-6)
+        assert bd.tau(4, tol="1e-3") < bd.sigma(4)
         with pytest.raises(ValueError, match="too coarse"):
-            bd.sigma(4, tol="4e-3")
+            bd.sigma(4, tol="1e-3")
 
     def test_scan_example_bracket_near_sigma4(self):
         # scanning the implicit-equation defect over (0, 1) locates sigma_4
@@ -588,6 +598,13 @@ class TestChiEstimate:
     def test_increasing_toward_limit(self):
         vals = [bd.chi_estimate(n) for n in (100, 200, 400)]
         assert vals[0] < vals[1] < vals[2] < PR("3.1873")
+
+    @pytest.mark.parametrize("n", [4, 18, 30, 200])
+    def test_within_tol_relative(self, n):
+        # n^2 (2/n - tau_n) is 2 n v for tau's variable v, which is solved
+        # to a relative width below tol
+        coarse, fine = bd.chi_estimate(n, tol="1e-8"), bd.chi_estimate(n)
+        assert abs(coarse / fine - 1) < PR("1e-8")
 
 
 class TestTransferDual:

@@ -1,5 +1,6 @@
 """Property-based invariants for the bound computations."""
 
+from functools import lru_cache
 from unittest.mock import patch
 
 from conftest import bisect_root
@@ -7,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dioph import bounds as bd
-from dioph.numerics import DEFAULT_TOL, PrecisionReal, at_precision, find_root
+from dioph.numerics import DEFAULT_TOL, InvalidPoint, PrecisionReal, at_precision, find_root
 
 PR = PrecisionReal
 
@@ -108,6 +109,38 @@ def test_lefths_root_on_increasing_branch_with_zero_residual(n, om):
     resid = abs((1 + root) * (1 + 1 / root) ** n - rhs)
     scale = rhs if rhs > 1 else PR(1)
     assert resid / scale < PR("1e-25")
+
+
+@lru_cache(maxsize=None)
+def mu_tau(n: int):
+    return bd.mu(n).mu, bd.tau(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    half_n=st.integers(min_value=2, max_value=100),
+    depth=st.floats(min_value=0.0, max_value=16.0, allow_nan=False),
+)
+def test_cleared_sigma_equation_keeps_the_sign_of_w_minus_mu(half_n, depth):
+    # at alpha = tau_n - (tau_n - 1/n) 10^-depth, on both sides of sigma_n:
+    # h = d^n den (W - mu_n) has W - mu_n's sign wherever the envelope is
+    # defined, and is -mu_n where it is not
+    n = 2 * half_n
+    mu_n, tau_n = mu_tau(n)
+    alpha = tau_n - (tau_n - PR(1) / n) * PR(10.0**-depth)
+    ctx = bd.mm_defect(n, alpha, PR(2) / n)
+    h = bd._cleared(ctx, mu_n)
+    try:
+        bd._envelope(ctx)
+    except InvalidPoint:
+        assert h == -mu_n
+        return
+    try:
+        w = bd._what_lower_value(ctx)
+    except InvalidPoint:  # den <= 0: the pole, where h stays positive
+        assert h.sign() > 0
+        return
+    assert h.sign() == (w - mu_n).sign()
 
 
 def solved_bracket(solve):

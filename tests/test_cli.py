@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from dioph import bounds as bd
 from dioph import pgn
 from dioph.cli import main
 
@@ -77,11 +78,21 @@ class TestBoundsCommand:
                     assert abs(float(c[key]) - float(f[key])) < 1e-7 * abs(float(f[key]))
 
     def test_tol_too_coarse_for_sigma_is_usage_error(self, capsys):
-        # at 4e-3 the solved tau(4) lies below sigma(4) (tau - sigma ~ 6e-6)
+        # at 1e-3 the solved tau(4) lies below sigma(4) (tau - sigma ~ 6e-6)
+        assert bd.tau(4, tol="1e-3") < bd.sigma(4)
         with pytest.raises(SystemExit) as exc:
-            run_cli("bounds", "--n", "4", "--tol", "4e-3")
+            run_cli("bounds", "--n", "4", "--tol", "1e-3")
         assert exc.value.code == 2
         assert "too coarse to separate tau(4) from sigma(4)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["1e-4", "3e-4", "1e-3", "3e-3", "4e-3", "1e-2", "2e-2"])
+    def test_tol_refused_exactly_when_tau_lies_below_sigma(self, tol):
+        below = bd.tau(4, tol=tol) < bd.sigma(4)
+        try:
+            code, _ = run_cli("bounds", "--n", "4", "--tol", tol)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == (2 if below else 0)
 
     @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf", "abc"])
     def test_tol_not_a_positive_real_is_usage_error(self, capsys, tol):

@@ -74,6 +74,11 @@ class TestPrecisionReal:
         assert "1.5" in repr(v)
         assert str(v).startswith("1.5")
 
+    def test_raw_tuple_is_not_a_value(self):
+        # a raw mpf goes through _make; a tuple here would skip every check
+        with pytest.raises(TypeError):
+            PR((0, 1, 0, 1))
+
 
 class TestConstants:
     def test_against_mpmath(self):

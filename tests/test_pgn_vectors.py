@@ -79,6 +79,14 @@ class TestTargetPoint:
         with pytest.raises(ValueError, match="must be finite"):
             pgn.TargetPoint.explicit(["0.5", bad])
 
+    @pytest.mark.parametrize("bits", [0, -1])
+    def test_no_precision_below_one_bit(self, bits):
+        # 0 is refused, not read as the default
+        with pytest.raises(ValueError, match="precision_bits must be a positive integer"):
+            pgn.TargetPoint.veronese("1.5", 2, bits)
+        with pytest.raises(ValueError, match="precision_bits must be a positive integer"):
+            pgn.TargetPoint.explicit(["0.5"], bits)
+
     def test_label(self):
         t = pgn.TargetPoint.veronese(e_value(), 2, label="e")
         assert t.source == "veronese(e)"
