@@ -10,6 +10,7 @@ for concurrent use).
 from __future__ import annotations
 
 import decimal
+import functools
 from typing import Callable, List, Optional, Tuple, Union
 
 from mpmath import mp
@@ -105,12 +106,18 @@ def _rounded(op: Callable, reflected: bool = False) -> Callable:
     at the larger of the two precisions; reflected swaps the operands."""
 
     def method(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = max(self.precision_bits, o.precision_bits)
-        raw = op(o.raw, self.raw, p, RND) if reflected else op(self.raw, o.raw, p, RND)
-        return PrecisionReal._make(raw, p)
+        if type(other) is not PrecisionReal:  # the fast path skips _coerce
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        p = self.precision_bits
+        if other.precision_bits > p:
+            p = other.precision_bits
+        raw = op(other.raw, self.raw, p, RND) if reflected else op(self.raw, other.raw, p, RND)
+        obj = _new(PrecisionReal)
+        _set_raw(obj, raw)
+        _set_bits(obj, p)
+        return obj
 
     return method
 
@@ -151,9 +158,9 @@ class PrecisionReal:
 
     @classmethod
     def _make(cls, raw: tuple, bits: int) -> "PrecisionReal":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "raw", raw)
-        object.__setattr__(obj, "precision_bits", bits)
+        obj = _new(cls)
+        _set_raw(obj, raw)
+        _set_bits(obj, bits)
         return obj
 
     # -- conversions ------------------------------------------------------
@@ -199,9 +206,15 @@ class PrecisionReal:
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other: Scalar) -> Optional["PrecisionReal"]:
+        """other at this value's precision, as __init__ gives it; None for
+        a type that is not a Scalar."""
         if isinstance(other, PrecisionReal):
             return other
-        if isinstance(other, (int, float, str)):
+        if isinstance(other, int):
+            return PrecisionReal._make(from_int(other, self.precision_bits, RND), self.precision_bits)
+        if isinstance(other, float):
+            return PrecisionReal._make(from_float(other, self.precision_bits, RND), self.precision_bits)
+        if isinstance(other, str):
             return PrecisionReal(other, self.precision_bits)
         return None
 
@@ -232,20 +245,22 @@ class PrecisionReal:
     # -- comparisons (exact) ----------------------------------------------
 
     def _cmp(self, other: Scalar) -> Optional[int]:
-        o = self._coerce(other)
-        if o is None:
-            return None
-        if self.raw == fnan or o.raw == fnan:
+        if type(other) is not PrecisionReal:
+            other = self._coerce(other)
+            if other is None:
+                return None
+        if self.raw == fnan or other.raw == fnan:
             raise ValueError("ordering comparison with NaN")
-        return mpf_cmp(self.raw, o.raw)
+        return mpf_cmp(self.raw, other.raw)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.raw == fnan or o.raw == fnan:
+        if type(other) is not PrecisionReal:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.raw == fnan or other.raw == fnan:
             return False
-        return mpf_cmp(self.raw, o.raw) == 0
+        return mpf_cmp(self.raw, other.raw) == 0
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -275,16 +290,27 @@ class PrecisionReal:
         return self.raw != fzero
 
 
+# build results without __init__ or the __setattr__ guard: the slots' own setters
+_new = object.__new__
+_set_raw = PrecisionReal.raw.__set__
+_set_bits = PrecisionReal.precision_bits.__set__
+
+
 def _as_real(x: Scalar, bits: Optional[int] = None) -> PrecisionReal:
     if isinstance(x, PrecisionReal):
         return x
     return PrecisionReal(x, bits)
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def at_precision(stated: Scalar, bits: int) -> PrecisionReal:
     """The coarser of a stated tolerance and 2^(8 - bits), the finest width
     bisection and two roundings of one value meet at bits (2^-56 at 64 bits,
-    2^-248 at 256 bits, where 1e-30 or 1e-20 is kept as stated)."""
+    2^-248 at 256 bits, where 1e-30 or 1e-20 is kept as stated).
+
+    Memoized: callers pass a few constants, and a PrecisionReal is
+    immutable, so every caller may share one result.  The key is typed, as
+    a PrecisionReal equals a string rounded at its own precision, not bits."""
     return max(PrecisionReal(stated, bits), PrecisionReal(2, bits) ** (8 - bits))
 
 
@@ -398,7 +424,8 @@ def format_real(x: Scalar, significant: int = 12) -> str:
 
 def _target_width(lo: PrecisionReal, hi: PrecisionReal, tol: PrecisionReal) -> PrecisionReal:
     """tol times the larger of |lo|, |hi| and 1: the width a root is solved to."""
-    return tol * max(abs(lo), abs(hi), PrecisionReal(1, tol.precision_bits))
+    m = max(abs(lo), abs(hi))
+    return tol if m <= 1 else tol * m  # tol * 1 is tol exactly
 
 
 def find_root(
@@ -464,10 +491,11 @@ def find_root(
             est = x - step
             if step.is_finite:
                 half = _target_width(est, est, tol) / 2
-                if abs(step) < half:
+                length = abs(step)
+                if length < half:
                     probe = est - half if step > 0 else est + half
                     t, probed = (probe, True) if lo < probe < hi else (mid, False)
-                elif lo < est < hi and abs(step) <= before / 2:
+                elif lo < est < hi and length <= before / 2:
                     t = est
         f_t = _as_real(f(t), bits)
         s_t = f_t.sign()

@@ -259,6 +259,20 @@ class TestAtPrecision:
         # the floor exceeds 1 there; it is still a power of two, not an error
         assert at_precision(0, 6) == 4
 
+    def test_memo_keeps_equal_stated_values_of_other_types_apart(self):
+        # PR("1e-20", 64) equals the string "1e-20", which at 256 bits is
+        # another value; with equal hashes, one memo entry would serve both
+        stated = PR("1e-20", 64)
+
+        class SameHash(str):
+            def __hash__(self):
+                return hash(stated)
+
+        text = SameHash("1e-20")
+        assert stated == text
+        assert at_precision(stated, 256) == PR(stated, 256)
+        assert at_precision(text, 256) == PR("1e-20", 256) != PR(stated, 256)
+
 
 class TestScan:
     def test_square_grid(self):
