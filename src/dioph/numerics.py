@@ -156,6 +156,10 @@ class PrecisionReal:
     def __setattr__(self, name, value):
         raise AttributeError("PrecisionReal is immutable")
 
+    def __delattr__(self, name):
+        # at_precision hands one cached value to every caller
+        raise AttributeError("PrecisionReal is immutable")
+
     @classmethod
     def _make(cls, raw: tuple, bits: int) -> "PrecisionReal":
         obj = _new(cls)

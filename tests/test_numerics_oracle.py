@@ -182,4 +182,6 @@ def test_attributes_cannot_be_assigned(name):
     for x in (a, b):
         with pytest.raises(AttributeError):
             setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
     assert b.raw == mpf_add(a.raw, a.raw, 256, round_nearest) and b.precision_bits == 256
