@@ -10,7 +10,9 @@ classical identities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
 from .numerics import (
@@ -25,6 +27,7 @@ from .numerics import (
     e_value,
     exp,
     find_root,
+    float_root,
     format_real,
     sqrt,
 )
@@ -104,11 +107,9 @@ def _tol_above(lo: PrecisionReal, tol: Optional[Scalar]) -> PrecisionReal:
     return (at_precision(DEFAULT_TOL, bits) if tol is None else _as_real(tol, bits)) * lo
 
 
-def _geometric_sum(first: PrecisionReal, ratio: PrecisionReal, count: int) -> PrecisionReal:
-    """first * (1 + ratio + ... + ratio^(count-1)), exact special case at ratio 1."""
-    bits = max(first.precision_bits, ratio.precision_bits)
-    if count <= 0:
-        return PrecisionReal(0, bits)
+def _geometric_sum(first, ratio, count: int):
+    """first * (1 + ratio + ... + ratio^(count-1)) for count >= 0, exact
+    special case at ratio 1; in any number type with + - * / and int powers."""
     if ratio == 1:
         return first * count
     return first * (1 - ratio**count) / (1 - ratio)
@@ -268,7 +269,8 @@ def beta_for_equality(
 ) -> PrecisionReal:
     """The unique beta >= alpha with zero defect, alpha/r for the root r of
     g(r) = alpha (1 + r + ... + r^(n-1)) - 1, the defect's negative at
-    r = alpha/beta, certified by find_root.
+    r = alpha/beta, certified by find_root.  The same g, evaluated in
+    floats, seeds it (as the other solvers here but sigma are seeded).
 
     g increases for r > 0.  g(1) = n alpha - 1 > 0 for alpha above 1/n, and
     g((1 - alpha)/2) < alpha/(1 - r) - 1 = 2 alpha/(1 + alpha) - 1 < 0, so
@@ -291,7 +293,7 @@ def beta_for_equality(
         raise DomainError("alpha must be below 1 (at 1 the ordinary exponent is infinite)")
 
     one = PrecisionReal(1, bits)
-    g = lambda r: _geometric_sum(a, r, n) - 1
+    g = lambda r, a=a: _geometric_sum(a, r, n) - 1
     at_alpha = g(one)  # r = 1, beta = alpha: n alpha - 1
     if at_alpha == 0:
         return a
@@ -299,7 +301,8 @@ def beta_for_equality(
         raise DomainError("alpha below 1/n: no zero-defect beta with beta >= alpha")
 
     lo = (1 - a) / 2
-    return a / find_root(g, lo, one, _tol_above(lo, tol))
+    seed = float_root(partial(g, a=float(a)), lo, one)
+    return a / find_root(g, lo, one, _tol_above(lo, tol), seed=seed)
 
 
 # -- even-n constants ---------------------------------------------------------
@@ -326,11 +329,9 @@ def tau(
     if not isinstance(n, int) or n < 2 or n % 2:
         raise DomainError("n must be an even integer >= 2")
     bits = _resolve_bits(precision_bits)
-    half_n = PrecisionReal(n, bits) / 2
-
-    g = lambda v: _geometric_sum(1 - v, 1 - v, n) - half_n
-    lo = PrecisionReal(1, bits) / (n + 1)
-    v = find_root(g, lo, PrecisionReal(2, bits) / (n + 2), _tol_above(lo, tol))
+    g = lambda v: _geometric_sum(1 - v, 1 - v, n) - n / 2  # n/2 is exact
+    lo, hi = PrecisionReal(1, bits) / (n + 1), PrecisionReal(2, bits) / (n + 2)
+    v = find_root(g, lo, hi, _tol_above(lo, tol), seed=float_root(g, lo, hi))
     return 2 * (1 - v) / n
 
 
@@ -368,8 +369,8 @@ def mu(
         raise DomainError("n must be an integer >= 2")
     bits = _resolve_bits(precision_bits)
     h = lambda u: n * u ** (n - 1) - (n - 1) * u ** (n + 1) - 1
-    right = PrecisionReal(n, bits) / (n + 1)
-    u = find_root(h, PrecisionReal(0, bits), right, tol)
+    left, right = PrecisionReal(0, bits), PrecisionReal(n, bits) / (n + 1)
+    u = find_root(h, left, right, tol, seed=float_root(h, left, right))
     w = n + (n - 1) * u
     floor = PrecisionReal(2 * n - 2, bits)
     return MuValue(w, w if w > floor else floor)
@@ -469,8 +470,9 @@ def theta(
     bits = _resolve_bits(precision_bits)
     one, three = PrecisionReal(1, bits), PrecisionReal(3, bits)
     target = 2 * sqrt(e_value(bits))
-    f = lambda t: exp(t) / t - target
-    return find_root(f, one, three, tol)
+    f = lambda t, exp=exp, target=target: exp(t) / t - target
+    seed = float_root(partial(f, exp=math.exp, target=float(target)), one, three)
+    return find_root(f, one, three, tol, seed=seed)
 
 
 def regular_graph_lambda_bound(
@@ -505,8 +507,9 @@ def _regular_graph_bound(
 ) -> PrecisionReal:
     """regular_graph_lambda_bound(n) from mu_n already in hand."""
     one = PrecisionReal(1, bits)
-    g = lambda s: _geometric_sum(one, s, n) - mu_n
-    s = find_root(g, one, 1 + 2 * (mu_n - n) / (n * (n - 1)), tol)
+    g = lambda s, mu_n=mu_n: _geometric_sum(1, s, n) - mu_n
+    hi = 1 + 2 * (mu_n - n) / (n * (n - 1))
+    s = find_root(g, one, hi, tol, seed=float_root(partial(g, mu_n=float(mu_n)), one, hi))
     return s ** (n - 1) / mu_n
 
 
@@ -614,14 +617,13 @@ def lefths_solve(
     if om.sign() <= 0:
         raise DomainError("omega must be positive")
     rhs = (1 + 1 / om) * (1 + om) ** n
-
-    def f(t: PrecisionReal) -> PrecisionReal:
-        return (1 + t) * (1 + 1 / t) ** n - rhs
+    f = lambda t, rhs=rhs: (1 + t) * (1 + 1 / t) ** n - rhs
 
     t0 = PrecisionReal(n, bits)
     if f(t0).sign() >= 0:
         return t0  # right side at (or numerically at) the minimum
-    return find_root(f, t0, 2 * rhs, tol)
+    seed = float_root(partial(f, rhs=float(rhs)), t0, 2 * rhs)
+    return find_root(f, t0, 2 * rhs, tol, seed=seed)
 
 
 def integer_approx_exponents(

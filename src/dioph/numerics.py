@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import decimal
 import functools
+import math
 from typing import Callable, List, Optional, Tuple, Union
 
 from mpmath import mp
@@ -55,6 +56,7 @@ __all__ = [
     "InvalidPoint",
     "at_precision",
     "find_root",
+    "float_root",
     "scan_brackets",
     "exp",
     "log",
@@ -432,14 +434,86 @@ def _target_width(lo: PrecisionReal, hi: PrecisionReal, tol: PrecisionReal) -> P
     return tol if m <= 1 else tol * m  # tol * 1 is tol exactly
 
 
+def float_root(f: Callable[[float], float], lo: Scalar, hi: Scalar) -> Optional[float]:
+    """A root of f in (lo, hi) in floats: a seed for ``find_root``, which
+    certifies nothing it is given.
+
+    The steps follow ``find_root``'s rule without its closing probe: a
+    secant step from the latest point, kept when it lands strictly inside
+    the sign-change bracket and is at most half the step before last, a
+    bisection otherwise.  It returns once a secant step is below 2^-50 of
+    the estimate, or the bracket closes on adjacent floats.  None where f
+    shows no sign change at the ends, overflows, divides by zero or returns
+    a value that is not finite."""
+    lo, hi = float(lo), float(hi)
+    try:
+        f_lo, f_hi = f(lo), f(hi)
+        if not (math.isfinite(f_lo) and math.isfinite(f_hi)) or (f_lo < 0) == (f_hi < 0):
+            return None
+        x, fx, w, fw = (lo, f_lo, hi, f_hi) if abs(f_lo) <= abs(f_hi) else (hi, f_hi, lo, f_lo)
+        last = before = 2 * (hi - lo)
+        while lo < (t := (lo + hi) / 2) < hi:
+            if fx != fw:
+                step = fx * (x - w) / (fx - fw)
+                if abs(step) <= 2**-50 * abs(x):
+                    return x - step
+                if lo < x - step < hi and abs(step) <= before / 2:
+                    t = x - step
+            f_t = f(t)
+            if not math.isfinite(f_t):
+                return None
+            if f_t == 0:
+                return t
+            if (f_t < 0) == (f_lo < 0):
+                lo = t
+            else:
+                hi = t
+            before, last = last, abs(t - x)
+            w, fw, x, fx = x, fx, t, f_t
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return (lo + hi) / 2
+
+
+# a seed's two points lie this far apart relative to it, both ways: a float
+# seed carries about 52 bits, so its root lies between them unless the float
+# formula lost 8 of those bits
+SEED_SPREAD = 2.0**-44
+
+
+def _seed_points(
+    seed: float, lo: PrecisionReal, hi: PrecisionReal
+) -> Optional[Tuple[PrecisionReal, PrecisionReal]]:
+    """seed (1 -+ SEED_SPREAD), a point beyond an end of (lo, hi) moved
+    halfway from seed to that end; None unless the two then lie strictly
+    inside, in order, which also fails where seed does not lie inside."""
+    bits = max(lo.precision_bits, hi.precision_bits)
+    d = abs(seed) * SEED_SPREAD
+    s, left, right = (PrecisionReal._make(from_float(v, bits, RND), bits) for v in (seed, seed - d, seed + d))
+    if not lo < left:
+        left = (lo + s) / 2
+    if not right < hi:
+        right = (s + hi) / 2
+    return (left, right) if lo < left < right < hi else None
+
+
 def find_root(
     f: Callable[[PrecisionReal], Scalar],
     lo: PrecisionReal,
     hi: PrecisionReal,
     tol: Optional[Scalar] = None,
+    seed: Optional[float] = None,
 ) -> PrecisionReal:
     """Shrink the bracket [lo, hi] until its width is below tol (relative)
     and return its midpoint.
+
+    A seed (a float estimate of the root, from ``float_root`` on the same
+    formula, or None) only chooses the first two points: seed (1 -+ 2^-44),
+    a point beyond an end moved halfway from seed to that end, so both lie
+    strictly inside the bracket.  Where f changes sign between them they
+    are the bracket, and f is never evaluated at lo or hi.  Otherwise f is
+    evaluated at lo and hi as without a seed, and the bracket is the part
+    the two points leave with the sign change.
 
     Each step tries a secant step from the latest point taken, always an end
     of the bracket (at first the end where |f| is smaller), with the slope
@@ -450,13 +524,16 @@ def find_root(
     far past the estimate, on the far side, so a sign change there closes
     the bracket around it; a probe must lie strictly inside the bracket,
     and one without a sign change is followed by a bisection.  Every point
-    taken updates the bracket by the sign of f, so the slopes only choose
-    the points: a poor slope costs evaluations, never the certificate.
+    taken updates the bracket by the sign of f, so the seed and the slopes
+    only choose the points: a poor seed or slope costs evaluations, never
+    the certificate.  The result is the midpoint of a bracket whose two
+    ends f was evaluated at, with opposite signs, or a point where f is 0.
 
     tol None is at_precision(DEFAULT_TOL, bits) at the bracket's precision.
     Deterministic; never leaves the bracket.  Raises InvalidBracket unless
-    lo < hi and the endpoint signs of f differ, NoConvergence when the
-    working precision is exhausted before reaching the width target.
+    lo < hi and the endpoint signs of f differ (not checked where the seed's
+    points bracket a root), NoConvergence when the working precision is
+    exhausted before reaching the width target.
     """
     if not lo < hi:
         raise InvalidBracket("bracket requires lo < hi")
@@ -465,15 +542,31 @@ def find_root(
     if tol.sign() <= 0:
         raise ValueError("tol must be positive")
 
-    f_lo = _as_real(f(lo), bits)
-    f_hi = _as_real(f(hi), bits)
-    s_lo, s_hi = f_lo.sign(), f_hi.sign()
-    if s_lo == 0:
-        return lo
-    if s_hi == 0:
-        return hi
-    if s_lo == s_hi:
-        raise InvalidBracket("f has the same sign at both endpoints")
+    f_lo = None
+    pair = None if seed is None else _seed_points(seed, lo, hi)
+    if pair is not None:
+        t1, t2 = pair
+        f1, f2 = _as_real(f(t1), bits), _as_real(f(t2), bits)
+        s1, s2 = f1.sign(), f2.sign()
+        if s1 == 0:
+            return t1
+        if s2 == 0:
+            return t2
+        if s1 != s2:  # the seed's points bracket a root
+            lo, f_lo, hi, f_hi = t1, f1, t2, f2
+    if f_lo is None:
+        f_lo = _as_real(f(lo), bits)
+        f_hi = _as_real(f(hi), bits)
+        s_lo, s_hi = f_lo.sign(), f_hi.sign()
+        if s_lo == 0:
+            return lo
+        if s_hi == 0:
+            return hi
+        if s_lo == s_hi:
+            raise InvalidBracket("f has the same sign at both endpoints")
+        if pair is not None:  # both of the seed's points lie on one side of the root
+            lo, f_lo, hi, f_hi = (t2, f2, hi, f_hi) if s1 == s_lo else (lo, f_lo, t1, f1)
+    s_lo = f_lo.sign()
 
     # (x, fx) is the latest point taken, (w, fw) the one before it
     x, fx, w, fw = (lo, f_lo, hi, f_hi) if abs(f_lo) <= abs(f_hi) else (hi, f_hi, lo, f_lo)

@@ -505,9 +505,11 @@ class TestSigma:
         mu_n = bd.mu(n).mu
         assert bd._cleared(bd.mm_defect(n, PR(1) / n, PR(2) / n), mu_n) == -mu_n
 
-    def test_tol_too_coarse_to_separate_from_tau(self):
-        # solved to tol 1e-3, tau(4) comes out 2.5e-5 below its root, which
-        # puts it under sigma(4) (tau - sigma ~ 6e-6)
+    def test_tol_too_coarse_to_separate_from_tau(self, monkeypatch):
+        # solved to tol 1e-3 from its algebraic bracket alone (no float
+        # seed), tau(4) comes out 2.5e-5 below its root, which puts it under
+        # sigma(4) (tau - sigma ~ 6e-6)
+        monkeypatch.setattr(bd, "float_root", lambda f, lo, hi: None)
         assert bd.tau(4, tol="1e-3") < bd.sigma(4)
         with pytest.raises(ValueError, match="too coarse"):
             bd.sigma(4, tol="1e-3")

@@ -3,12 +3,14 @@ import json
 from hashlib import sha256
 import subprocess
 import sys
+from unittest.mock import patch
 
 import pytest
 
 from dioph import bounds as bd
 from dioph import pgn
 from dioph.cli import main
+from dioph.numerics import PrecisionReal as PR
 
 
 def run_cli(*argv):
@@ -67,18 +69,21 @@ class TestBoundsCommand:
         assert low == full
 
     def test_tol_is_passed_to_every_solve(self):
-        code, coarse = run_cli("bounds", "--n", "4", "--format", "json", "--tol", "1e-8")
+        # a seeded solve meets 1e-8 at its two seed points, so its printed
+        # digits need not move: every find_root call shows the tol instead
+        with patch.object(bd, "find_root", wraps=bd.find_root) as spy:
+            code, _ = run_cli("bounds", "--n", "4", "--format", "json", "--tol", "1e-8")
         assert code == 0
-        _, full = run_cli("bounds", "--n", "4", "--format", "json")
-        for c, f in zip(coarse.splitlines(), full.splitlines()):
-            c, f = json.loads(c), json.loads(f)
-            for key in ("theta", "tau", "sigma", "mu", "regular_graph_bound", "chi"):
-                if key in f:
-                    assert c[key] != f[key]
-                    assert abs(float(c[key]) - float(f[key])) < 1e-7 * abs(float(f[key]))
+        # theta, mu, tau, sigma and the regular-graph bound, each solved once;
+        # tau's tol is relative to its bracket's lower end 1/5
+        tols = [PR(call.args[3], 256) for call in spy.call_args_list]
+        assert len(tols) == 5
+        assert all(PR("1e-9") < t <= PR("1e-8") for t in tols)
 
-    def test_tol_too_coarse_for_sigma_is_usage_error(self, capsys):
-        # at 1e-3 the solved tau(4) lies below sigma(4) (tau - sigma ~ 6e-6)
+    def test_tol_too_coarse_for_sigma_is_usage_error(self, capsys, monkeypatch):
+        # at 1e-3, tau(4) solved without its float seed lies below sigma(4)
+        # (tau - sigma ~ 6e-6)
+        monkeypatch.setattr(bd, "float_root", lambda f, lo, hi: None)
         assert bd.tau(4, tol="1e-3") < bd.sigma(4)
         with pytest.raises(SystemExit) as exc:
             run_cli("bounds", "--n", "4", "--tol", "1e-3")
@@ -154,11 +159,21 @@ class TestTheoremNewCommand:
 
 
 class TestSimulateCommand:
+    def test_format_is_a_usage_error(self, tmp_path):
+        # simulate prints JSON only, so it takes no --format
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "simulate", "--target", "veronese:e", "--n", "1", "--xmax", "100",
+                "--out", str(tmp_path), "--format", "json",
+            )
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
     def test_golden_fibonacci_csv(self, tmp_path):
         code, out = run_cli(
             "simulate", "--target", "veronese:golden", "--n", "1",
             "--xmax", "1000", "--widen", "0", "--out", str(tmp_path),
-            "--grid-points", "20", "--format", "json",
+            "--grid-points", "20",
         )
         assert code == 0
         summary = json.loads(out)
@@ -234,7 +249,7 @@ class TestSimulateCommand:
         monkeypatch.setattr(pgn.ApproxVector, "__init__", counted)
         code, out = run_cli(
             "simulate", "--target", "veronese:e", "--n", "2", "--xmax", "10000",
-            "--out", str(tmp_path), "--format", "json",
+            "--out", str(tmp_path),
         )
         assert code == 0
         pool_size = json.loads(out)["pool_size"]
@@ -246,7 +261,7 @@ class TestSimulateCommand:
             "simulate", "--target", "veronese:pi", "--n", "1",
             "--xmax", "400", "--widen", "0", "--out", str(tmp_path),
             "--grid-points", "15", "--qmax", "4.5", "--qmin", "1.0",
-            "--window-fraction", "0.7", "--format", "json",
+            "--window-fraction", "0.7",
         )
         assert code == 0
         summary = json.loads(out)
@@ -302,8 +317,19 @@ class TestSimulateCommand:
 
 
 class TestVerifyCommand:
+    def test_suite_names_match_suites(self):
+        from dioph import cli, suites
+
+        assert list(cli.SUITE_NAMES) == sorted(suites.SUITE_NAMES)
+
+    def test_format_is_a_usage_error(self):
+        # verify prints JSON only, so it takes no --format
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "monotonicity", "--format", "json")
+        assert exc.value.code == 2
+
     def test_monotonicity_suite_passes(self):
-        code, out = run_cli("verify", "monotonicity", "--format", "json")
+        code, out = run_cli("verify", "monotonicity")
         assert code == 0
         checks = [json.loads(l) for l in out.strip().splitlines()]
         assert checks and all(c["ok"] for c in checks)
@@ -315,7 +341,7 @@ class TestVerifyCommand:
     def test_profile_suite_passes_at_64_bits(self):
         # L_1 at a record minimum and the record value are two roundings of
         # one number; at 64 bits they differ by far more than 1e-60
-        code, out = run_cli("--precision-bits", "64", "verify", "profile", "--format", "json")
+        code, out = run_cli("--precision-bits", "64", "verify", "profile")
         checks = [json.loads(l) for l in out.strip().splitlines()]
         assert code == 0
         assert checks and all(c["ok"] for c in checks)
@@ -323,7 +349,7 @@ class TestVerifyCommand:
     def test_constants_suite_passes_at_64_bits(self):
         # every solve takes the precision's default tol, 2^-56 at 64 bits;
         # at a fixed 1e-30 bisection stalls and the command exits 4
-        code, out = run_cli("--precision-bits", "64", "verify", "constants", "--format", "json")
+        code, out = run_cli("--precision-bits", "64", "verify", "constants")
         checks = [json.loads(l) for l in out.strip().splitlines()]
         assert code == 0
         assert checks and all(c["ok"] for c in checks)
@@ -371,6 +397,25 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
+def loaded_by_cli_import(module: str) -> bool:
+    """Whether `import dioph.cli` in a fresh interpreter loads module."""
+    import os
+    from pathlib import Path
+
+    import dioph
+
+    src = str(Path(dioph.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, dioph.cli; print({module!r} in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
+
+
 class TestSubprocessEntry:
     def test_module_entry_and_env_precision(self):
         code, out, err = run_subprocess(
@@ -381,21 +426,11 @@ class TestSubprocessEntry:
         assert rows[1]["tau"].startswith("0.618033988")
 
     def test_cli_import_does_not_load_numpy(self):
-        import os
-        from pathlib import Path
+        assert not loaded_by_cli_import("numpy")
 
-        import dioph
-
-        src = str(Path(dioph.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, dioph.cli; print('numpy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+    def test_cli_import_does_not_load_suites(self):
+        # only `verify` runs a suite, and it imports suites itself
+        assert not loaded_by_cli_import("dioph.suites")
 
     def test_low_precision_rejected(self):
         code, out, err = run_subprocess("--precision-bits", "32", "bounds", "--n", "2")

@@ -2,9 +2,10 @@
 
 Each case pins the number of evaluations of f in every find_root call a
 solver makes, and the sha256 of the raw mpf results of those calls.  Both
-were recorded from the step rule of the one-secant find_root (with sigma
-solved as one certified root), so a change to the step rule, or to how
-any operation rounds, fails here instead of passing silently.
+were recorded from the step rule of the one-secant find_root, with every
+solver but sigma seeded by the float root of its own formula, so a change
+to the step rule, to the seed, or to how any operation rounds, fails here
+instead of passing silently.
 
 The beta_0 inputs are the first 50 points of the dual_sweep benchmark
 workload at seed 1 (perfbench/workloads.py ``dual_inputs``).
@@ -69,58 +70,82 @@ EVEN_N = [4, 6, 8, 10, 12]
 
 PINNED_BETA0 = (
     [
-        11, 13, 11, 13, 13, 10, 3, 12, 13, 13, 13, 11, 10, 4, 3, 12, 12, 13, 11, 13, 11, 13,
-        11, 11, 11, 3, 12, 3, 11, 11, 12, 12, 12, 11, 13, 12, 11, 12, 11, 13, 13, 12, 3, 11,
-        12, 3, 11, 13, 12, 11
+        5, 5, 5, 5, 5, 5, 3, 5, 5, 5, 5, 5, 5, 4, 3, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 3, 5, 3, 5, 5,
+        5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 3, 5, 5, 3, 5, 5, 5, 5
     ],
-    "77088999b415116015d656440b4e1839fec11f129679ef2f329d5fe02c906529",
+    "fcac89f0edc70fb395835278b219edc52b95aeb26d5caaec10b088eb3ec946d9",
 )
 PINNED = {
     ("mu", 64): (
-        [9, 10, 10, 10, 10],
-        "19ccaaa056114828ed3b39073e4981f2f310b17b1bc26c78a8ebda1d1934fe07",
+        [4, 4, 4, 3, 4],
+        "23bcb19b5e0dada29d1c61ce6e75aa3879f7152e50d0e8ed89b4e1639fb3a794",
     ),
     ("mu", 256): (
-        [11, 11, 11, 11, 11],
-        "57a4b77c37a7a224e8922a8ab731064d374461707be362090e2fb6d1c47ca15c",
+        [5, 5, 5, 5, 5],
+        "37e7d14734e0a8249286eaf9ca0b3bbc0ed217f8a5fb106532233afe048a7582",
     ),
     ("regular_graph_lambda_bound", 64): (
-        [9, 9, 10, 9, 10, 10, 10, 10, 10, 10],
-        "91bf84a24157bc4664c79bf160415802be16e25436bbcad5719c7a130c046039",
+        [4, 3, 4, 4, 4, 4, 3, 4, 4, 4],
+        "32d12f9f1e4b5a2f2ad231b1f3724f9d337bd117dd1b37bcbc0e1d727391252d",
     ),
     ("regular_graph_lambda_bound", 256): (
-        [11, 10, 11, 10, 11, 11, 11, 11, 11, 11],
-        "54c6df75bfe0cf6b3106ae1dc505c254bc576d0ef1cfbfcbffca85cf1ed1d60b",
+        [5, 5, 5, 5, 5, 5, 5, 5, 5, 5],
+        "063649c4373d5beea161bf4e9257b5af60d4a956506fc19213139d1479e41dd5",
     ),
     ("sigma", 64): (
-        [9, 8, 10, 10, 9, 10, 10, 8, 10, 10, 9, 11, 10, 8, 11],
-        "fed5beaee436ae760e5e18543ae5481e02a8521894fc3eb6bca8facb1a1daea9",
+        [4, 3, 10, 4, 4, 10, 4, 3, 10, 3, 4, 11, 4, 3, 11],
+        "c40d3696a66075b2b6003590992dcf3f7cf7316dcabdbe45b37461a51c5579a8",
     ),
     ("sigma", 256): (
-        [11, 10, 11, 11, 10, 11, 11, 10, 12, 11, 10, 12, 11, 10, 13],
-        "7ebf641da349724d3dc3ebf4f5a943b26d24e5f7142d487ffa8e18d633890665",
+        [5, 5, 11, 5, 5, 11, 5, 5, 12, 5, 5, 12, 5, 5, 13],
+        "64c44b7f6f8326f0be3543221353d3854202b5fb1ce9286a919e6a44c6a9d6a2",
     ),
     ("tau", 64): (
-        [8, 9, 8, 9, 8],
-        "6c1aee06ec1f0b1774019f696e55a6aa354131254dca745b00412ab2d86cbbc4",
+        [3, 4, 3, 4, 3],
+        "fb4e2c328c90036a13b1bb7ebdf875b5e9712d813b8421f9c3692394f41041a7",
     ),
     ("tau", 256): (
-        [10, 10, 10, 10, 10],
-        "dd001dea9fbb351a937f58598e03911790fb2744e88a5d2328d0c7b12ff1b4c5",
+        [5, 5, 5, 5, 5],
+        "a7636d365dbbe95f82249766ef2f845ffa9493489a93c62f7699ed45b4d6a619",
     ),
     ("theta", 64): (
-        [13],
-        "960886e1eeea019b8d548ec887509f4c824f34df06e189c6beb4e5985fc7531d",
+        [3],
+        "ffd7151f0bc955df5a9f9eae5fb55aec80e9844d3d633989848eac1173dd1121",
     ),
     ("theta", 256): (
-        [14],
-        "286fd6762fa55a70d284afef96754e50cbefa0d90f8fc295500d087123f0cc43",
+        [5],
+        "75df5e1521659097c087825818156bd6d15b1ce9f278d9a7065b05cdd85c74c1",
     ),
 }
 
 
 def test_beta0_solves_are_pinned():
     assert solves(solve_beta0) == PINNED_BETA0
+
+
+def test_beta0_fallbacks_are_pinned():
+    # over all 200 seed-1 dual_sweep points: the evaluations of the beta_0
+    # solves (2,083 from the algebraic bracket alone), and how many solves
+    # fall back to that bracket because the seed's points miss the root
+    evaluations = fallbacks = 0
+
+    def counted(f, lo, hi, tol=None, seed=None):
+        nonlocal evaluations, fallbacks
+        points = []
+
+        def g(x):
+            points.append(x)
+            return f(x)
+
+        root = find_root(g, lo, hi, tol, seed=seed)
+        evaluations += len(points)
+        fallbacks += seed is None or lo in points or hi in points
+        return root
+
+    with patch.object(bd, "find_root", counted):
+        for n, alpha in dual_points(1, 200):
+            bd.beta_for_equality(n, alpha)
+    assert (evaluations, fallbacks) == (944, 0)
 
 
 @pytest.mark.parametrize("bits", [64, 256])
