@@ -72,13 +72,19 @@ class TestBoundsCommand:
         # a seeded solve meets 1e-8 at its two seed points, so its printed
         # digits need not move: every find_root call shows the tol instead
         with patch.object(bd, "find_root", wraps=bd.find_root) as spy:
-            code, _ = run_cli("bounds", "--n", "4", "--format", "json", "--tol", "1e-8")
+            code, coarse = run_cli("bounds", "--n", "4", "--format", "json", "--tol", "1e-8")
         assert code == 0
         # theta, mu, tau, sigma and the regular-graph bound, each solved once;
         # tau's tol is relative to its bracket's lower end 1/5
         tols = [PR(call.args[3], 256) for call in spy.call_args_list]
         assert len(tols) == 5
         assert all(PR("1e-9") < t <= PR("1e-8") for t in tols)
+        _, full = run_cli("bounds", "--n", "4", "--format", "json")
+        for c, f in zip(coarse.splitlines(), full.splitlines()):
+            c, f = json.loads(c), json.loads(f)
+            for key in ("theta", "tau", "sigma", "mu", "regular_graph_bound", "chi"):
+                if key in f:
+                    assert abs(float(c[key]) - float(f[key])) < 1e-7 * abs(float(f[key]))
 
     def test_tol_too_coarse_for_sigma_is_usage_error(self, capsys, monkeypatch):
         # at 1e-3, tau(4) solved without its float seed lies below sigma(4)
