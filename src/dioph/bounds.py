@@ -109,10 +109,15 @@ def _tol_above(lo: PrecisionReal, tol: Optional[Scalar]) -> PrecisionReal:
 
 def _geometric_sum(first, ratio, count: int):
     """first * (1 + ratio + ... + ratio^(count-1)) for count >= 0, exact
-    special case at ratio 1; in any number type with + - * / and int powers."""
+    special case at ratio 1; in any number type with + - * / and int powers.
+    A float power beyond the float range is infinite, as a float product is."""
     if ratio == 1:
         return first * count
-    return first * (1 - ratio**count) / (1 - ratio)
+    try:
+        power = ratio**count
+    except OverflowError:
+        power = math.copysign(math.inf, ratio ** (count % 2))
+    return first * (1 - power) / (1 - ratio)
 
 
 # -- the defect and Theorem-level dual bounds --------------------------------
@@ -189,34 +194,37 @@ def mm_defect(
     if a > b:
         raise DomainError("alpha must not exceed beta")
 
-    one = PrecisionReal(1, bits)
-    zero = PrecisionReal(0, bits)
+    return BoundContext(n, a, b, *_defect(n, a, b))
+
+
+def _defect(n: int, a, b) -> tuple:
+    """(epsilon, threshold, phi, rho, S, T) of ``mm_defect``, unchecked, in
+    the number type of a and b: PrecisionReal, or float to seed a root.
+    phi and rho are written in s = beta/alpha, so no power of alpha alone
+    underflows in floats."""
+    one = a**0  # 1 in a's number type
     r = a / b
     eps = 1 - _geometric_sum(a, r, n)  # the geometric closed form of the sum
     gap = b - a
-    smaller = a if a <= gap else gap
-    threshold = r**n * smaller / (4 * n)
+    threshold = r**n * (a if a <= gap else gap) / (4 * n)
 
     if eps == 0:
-        phi = rho = zero
+        phi = rho = eps  # 0
     else:
-        phi = 4 * eps * b ** (n - 1) / a**n
-        rho = 4 * eps * b**2 / a**2
+        s = b / a
+        phi = 4 * eps * s ** (n - 1) / a
+        rho = 4 * eps * s**2
 
     z = r + phi
     if n == 1:
-        S, T = one, zero
-    elif z.is_infinite:
-        S = one  # only the j=1 term survives
-        T = PrecisionReal(float("inf") if z > 0 else float("-inf"), bits)
+        S, T = one, 0 * one
+    elif abs(z) == math.inf:
+        S, T = one, z  # only the j=1 term of S survives
     elif z == 0:
-        S = PrecisionReal(float("inf"), bits)  # z^(1-j) blows up for j >= 2
-        T = zero
+        S, T = one * math.inf, 0 * one  # z^(1-j) blows up for j >= 2
     else:
-        S = _geometric_sum(one, 1 / z, n)
-        T = _geometric_sum(z, z, n - 1)
-
-    return BoundContext(n, a, b, eps, threshold, phi, rho, S, T)
+        S, T = _geometric_sum(one, 1 / z, n), _geometric_sum(z, z, n - 1)
+    return eps, threshold, phi, rho, S, T
 
 
 def dual_bounds(ctx: BoundContext) -> DualBoundSet:
@@ -229,7 +237,8 @@ def dual_bounds(ctx: BoundContext) -> DualBoundSet:
         )
         raise HypothesisViolated(f"epsilon={format_real(ctx.epsilon, 6)} {side}")
     try:
-        d, e, d_n = _envelope(ctx)
+        d, e = _envelope(ctx)
+        d_n = d**-ctx.n
         what_lower = _uniform_lower(ctx, e, d_n)
     except InvalidPoint as ex:
         raise DegenerateContext(str(ex)) from None
@@ -270,7 +279,7 @@ def beta_for_equality(
     """The unique beta >= alpha with zero defect, alpha/r for the root r of
     g(r) = alpha (1 + r + ... + r^(n-1)) - 1, the defect's negative at
     r = alpha/beta, certified by find_root.  The same g, evaluated in
-    floats, seeds it (as the other solvers here but sigma are seeded).
+    floats, seeds it, as every solver here is seeded.
 
     g increases for r > 0.  g(1) = n alpha - 1 > 0 for alpha above 1/n, and
     g((1 - alpha)/2) < alpha/(1 - r) - 1 = 2 alpha/(1 + alpha) - 1 < 0, so
@@ -376,21 +385,21 @@ def mu(
     return MuValue(w, w if w > floor else floor)
 
 
-def _envelope(ctx: BoundContext) -> Tuple[PrecisionReal, PrecisionReal, PrecisionReal]:
-    """(d, e, d^-n) for d = alpha/beta - phi and e = beta - rho; InvalidPoint
-    unless d and e are positive."""
+def _envelope(ctx: BoundContext) -> Tuple[PrecisionReal, PrecisionReal]:
+    """(d, e) for d = alpha/beta - phi and e = beta - rho, in ctx's number
+    type; InvalidPoint unless both are positive."""
     d = ctx.alpha / ctx.beta - ctx.phi
     e = ctx.beta - ctx.rho
-    if d.sign() <= 0 or e.sign() <= 0:
+    if d <= 0 or e <= 0:
         raise InvalidPoint("alpha/beta - phi and beta - rho must stay positive")
-    return d, e, d**-ctx.n
+    return d, e
 
 
 def _what_lower_value(ctx: BoundContext) -> PrecisionReal:
     """The uniform dual lower bound e S / (d^-n + e (1 - S)), (d, e) as in
     ``_envelope``; InvalidPoint off its domain."""
-    _, e, d_n = _envelope(ctx)
-    return _uniform_lower(ctx, e, d_n)
+    d, e = _envelope(ctx)
+    return _uniform_lower(ctx, e, d**-ctx.n)
 
 
 def _uniform_lower(ctx: BoundContext, e: PrecisionReal, d_n: PrecisionReal) -> PrecisionReal:
@@ -404,12 +413,18 @@ def _uniform_lower(ctx: BoundContext, e: PrecisionReal, d_n: PrecisionReal) -> P
 
 def _cleared(ctx: BoundContext, mu_n: PrecisionReal) -> PrecisionReal:
     """h = e d^n (S - mu_n (1 - S)) - mu_n, W - mu_n with its denominator
-    cleared (see ``_sigma``); -mu_n where ``_envelope`` refuses."""
+    cleared (see ``_sigma``); -mu_n where ``_envelope`` refuses.  In floats
+    d^n may underflow to 0, where d^-n would overflow."""
     try:
-        _, e, d_n = _envelope(ctx)
+        d, e = _envelope(ctx)
     except InvalidPoint:
         return -mu_n
-    return e * (ctx.S - mu_n * (1 - ctx.S)) / d_n - mu_n
+    return e * (ctx.S - mu_n * (1 - ctx.S)) * d**ctx.n - mu_n
+
+
+def _sigma_h(alpha, n: int, beta, mu_n):
+    """h(alpha) of ``_sigma``, in the number type of its arguments."""
+    return _cleared(BoundContext(n, alpha, beta, *_defect(n, alpha, beta)), mu_n)
 
 
 def sigma(
@@ -435,7 +450,7 @@ def _sigma(
 ) -> PrecisionReal:
     """sigma(n) from mu_n and tau_n already in hand.
 
-    With d, e and d^-n from ``_envelope``, W = e S / den for
+    With d and e from ``_envelope``, W = e S / den for
     den = d^-n + e (1 - S).  Clearing the denominator gives
 
         h(alpha) = e d^n (S - mu_n (1 - S)) - mu_n = d^n den (W - mu_n),
@@ -450,11 +465,15 @@ def _sigma(
     n = 4, 7.1e-8 at n = 200), so (1/n, tau_n) brackets sigma_n.  A tau_n
     solved so coarsely that h is not positive there lies below sigma_n or
     beyond that range: that tol is a ValueError.
+
+    The same h, evaluated in floats, seeds find_root, as the other solvers
+    here are seeded; find_root certifies the root in PrecisionReal.
     """
-    beta = PrecisionReal(2, bits) / n
-    h = lambda a: _cleared(mm_defect(n, a, beta, bits), mu_n)
+    h = partial(_sigma_h, n=n, beta=PrecisionReal(2, bits) / n, mu_n=mu_n)
+    lo = PrecisionReal(1, bits) / n
+    seed = float_root(partial(_sigma_h, n=n, beta=2 / n, mu_n=float(mu_n)), lo, tau_n)
     try:
-        return find_root(h, PrecisionReal(1, bits) / n, tau_n, tol)
+        return find_root(h, lo, tau_n, tol, seed=seed)
     except InvalidBracket:
         raise ValueError(
             f"tol is too coarse to separate tau({n}) from sigma({n}):"

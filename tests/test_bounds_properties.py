@@ -8,7 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dioph import bounds as bd
-from dioph.numerics import DEFAULT_TOL, InvalidPoint, PrecisionReal, at_precision, find_root
+from dioph.numerics import (
+    DEFAULT_TOL,
+    SEED_SPREAD,
+    InvalidPoint,
+    PrecisionReal,
+    at_precision,
+    find_root,
+)
 
 PR = PrecisionReal
 
@@ -112,8 +119,17 @@ def test_lefths_root_on_increasing_branch_with_zero_residual(n, om):
 
 
 @lru_cache(maxsize=None)
-def mu_tau(n: int):
-    return bd.mu(n).mu, bd.tau(n)
+def mu_tau_sigma(n: int):
+    mu_n, tau_n = bd.mu(n).mu, bd.tau(n)
+    return mu_n, tau_n, bd._sigma(n, 256, None, mu_n, tau_n)
+
+
+def float_h_agrees(n: int, alpha: PR) -> bool:
+    """Whether sigma's h, evaluated in floats as its seed is, has the sign of
+    h in PrecisionReal at alpha."""
+    mu_n = mu_tau_sigma(n)[0]
+    h = bd._sigma_h(alpha, n, PR(2) / n, mu_n)
+    return (bd._sigma_h(float(alpha), n, 2 / n, float(mu_n)) > 0) == (h.sign() > 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -124,12 +140,17 @@ def mu_tau(n: int):
 def test_cleared_sigma_equation_keeps_the_sign_of_w_minus_mu(half_n, depth):
     # at alpha = tau_n - (tau_n - 1/n) 10^-depth, on both sides of sigma_n:
     # h = d^n den (W - mu_n) has W - mu_n's sign wherever the envelope is
-    # defined, and is -mu_n where it is not
+    # defined, and is -mu_n where it is not.  h is sigma's one h, and in
+    # floats it has the same sign wherever alpha lies further than the
+    # seed's spread from sigma_n, so that |h| is well above float rounding
     n = 2 * half_n
-    mu_n, tau_n = mu_tau(n)
+    mu_n, tau_n, sigma_n = mu_tau_sigma(n)
     alpha = tau_n - (tau_n - PR(1) / n) * PR(10.0**-depth)
     ctx = bd.mm_defect(n, alpha, PR(2) / n)
     h = bd._cleared(ctx, mu_n)
+    assert h == bd._sigma_h(alpha, n, PR(2) / n, mu_n)
+    if abs(alpha - sigma_n) > sigma_n * SEED_SPREAD:
+        assert float_h_agrees(n, alpha)
     try:
         bd._envelope(ctx)
     except InvalidPoint:
@@ -141,6 +162,24 @@ def test_cleared_sigma_equation_keeps_the_sign_of_w_minus_mu(half_n, depth):
         assert h.sign() > 0
         return
     assert h.sign() == (w - mu_n).sign()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    half_n=st.integers(min_value=2, max_value=100),
+    k=st.integers(min_value=1, max_value=44),
+    above=st.booleans(),
+)
+@example(half_n=2, k=44, above=True)
+@example(half_n=100, k=44, above=False)
+def test_float_h_keeps_its_sign_beyond_the_seed_spread(half_n, k, above):
+    # alpha = sigma_n (1 -+ 2^-k) inside (1/n, tau_n), down to SEED_SPREAD
+    # = 2^-44 from sigma_n, where the seed's two points lie
+    n = 2 * half_n
+    _, tau_n, sigma_n = mu_tau_sigma(n)
+    alpha = sigma_n * (1 + PR(2) ** -k if above else 1 - PR(2) ** -k)
+    assume(PR(1) / n < alpha < tau_n)
+    assert float_h_agrees(n, alpha)
 
 
 def solved_bracket(solve):

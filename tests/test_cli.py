@@ -105,6 +105,16 @@ class TestBoundsCommand:
             code = exc.code
         assert code == (2 if below else 0)
 
+    @pytest.mark.parametrize("tol", ["0.9", "1e-2", "1e-3"])
+    def test_coarse_tol_keeps_sigma_within_tol(self, tol):
+        # sigma's seed points meet the coarse tol at once; without the seed,
+        # --tol 0.9 printed 0.310317727642 and 1e-2 printed 0.367651893684
+        code, out = run_cli("bounds", "--n", "4", "--format", "json", "--tol", tol)
+        assert code == 0
+        _, full = run_cli("bounds", "--n", "4", "--format", "json")
+        coarse, exact = (float(json.loads(o.splitlines()[1])["sigma"]) for o in (out, full))
+        assert abs(coarse - exact) <= float(tol) * exact
+
     @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf", "abc"])
     def test_tol_not_a_positive_real_is_usage_error(self, capsys, tol):
         # the default tol is left to each solve; a given one is still checked

@@ -3,7 +3,7 @@
 Each case pins the number of evaluations of f in every find_root call a
 solver makes, and the sha256 of the raw mpf results of those calls.  Both
 were recorded from the step rule of the one-secant find_root, with every
-solver but sigma seeded by the float root of its own formula, so a change
+solver seeded by the float root of its own formula, so a change
 to the step rule, to the seed, or to how any operation rounds, fails here
 instead of passing silently.
 
@@ -93,12 +93,12 @@ PINNED = {
         "063649c4373d5beea161bf4e9257b5af60d4a956506fc19213139d1479e41dd5",
     ),
     ("sigma", 64): (
-        [4, 3, 10, 4, 4, 10, 4, 3, 10, 3, 4, 11, 4, 3, 11],
-        "c40d3696a66075b2b6003590992dcf3f7cf7316dcabdbe45b37461a51c5579a8",
+        [4, 3, 4, 4, 4, 4, 4, 3, 4, 3, 4, 4, 4, 3, 4],
+        "7e64ae3879ac566412dfed016a5707be0522264f0adfd3749d177d8a8ca6e7a2",
     ),
     ("sigma", 256): (
-        [5, 5, 11, 5, 5, 11, 5, 5, 12, 5, 5, 12, 5, 5, 13],
-        "64c44b7f6f8326f0be3543221353d3854202b5fb1ce9286a919e6a44c6a9d6a2",
+        [5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5],
+        "4b1ca60086972388e42fe81a27bd4e5102fea1b756669ccf20619a0941e252db",
     ),
     ("tau", 64): (
         [3, 4, 3, 4, 3],
@@ -123,10 +123,10 @@ def test_beta0_solves_are_pinned():
     assert solves(solve_beta0) == PINNED_BETA0
 
 
-def test_beta0_fallbacks_are_pinned():
-    # over all 200 seed-1 dual_sweep points: the evaluations of the beta_0
-    # solves (2,083 from the algebraic bracket alone), and how many solves
-    # fall back to that bracket because the seed's points miss the root
+def evaluations_and_fallbacks(run) -> tuple:
+    """(evaluations of f over the find_root calls of run(), how many of
+    those calls fall back to their algebraic bracket, evaluating an end of
+    it, because they have no seed or the seed's points miss the root)."""
     evaluations = fallbacks = 0
 
     def counted(f, lo, hi, tol=None, seed=None):
@@ -143,9 +143,32 @@ def test_beta0_fallbacks_are_pinned():
         return root
 
     with patch.object(bd, "find_root", counted):
+        run()
+    return evaluations, fallbacks
+
+
+def test_beta0_fallbacks_are_pinned():
+    # over all 200 seed-1 dual_sweep points: the evaluations of the beta_0
+    # solves (2,083 from the algebraic bracket alone), and the fallbacks
+    def run():
         for n, alpha in dual_points(1, 200):
             bd.beta_for_equality(n, alpha)
-    assert (evaluations, fallbacks) == (944, 0)
+
+    assert evaluations_and_fallbacks(run) == (944, 0)
+
+
+@pytest.mark.parametrize("bits, pinned", [(64, 396), (128, 574), (256, 571)])
+def test_sigma_seeds_never_fall_back(bits, pinned):
+    # over even n = 4..200, mu_n and tau_n solved first: the evaluations of
+    # the sigma solves (1,638 from (1/n, tau_n) alone at 256 bits), and the
+    # fallbacks
+    solved = [(n, bd.mu(n, bits).mu, bd.tau(n, bits)) for n in range(4, 201, 2)]
+
+    def run():
+        for n, mu_n, tau_n in solved:
+            bd._sigma(n, bits, None, mu_n, tau_n)
+
+    assert evaluations_and_fallbacks(run) == (pinned, 0)
 
 
 @pytest.mark.parametrize("bits", [64, 256])

@@ -1,7 +1,7 @@
 """Seeded roots against the unseeded oracle.
 
-Every solver in ``bounds`` but sigma passes find_root a seed: the float root
-of its own defining formula.  The seed only chooses find_root's first two
+Every solver in ``bounds`` passes find_root a seed: the float root of its
+own defining formula.  The seed only chooses find_root's first two
 points, so each seeded root must lie within tol of the root that find_root
 reaches from the same algebraic bracket with no seed, computed here as the
 oracle.  The float formula loses the root to cancellation for beta_0 near
@@ -120,6 +120,17 @@ def test_seeded_solves_agree_with_oracle(name, n, x, bits):
     # mu's h, tau's g and the regular-graph g run mu, tau and s with the
     # powers of n up to 200 in floats; lefths' right side reaches 10^1200
     for call in seeded_calls(lambda: SOLVERS[name](n, x, bits)):
+        assert_agrees_with_oracle(call, bits)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_seeded_sigma_agrees_with_oracle(bits):
+    # every even n = 4..200: sigma's h in floats seeds the solve on
+    # (1/n, tau_n), mu_n and tau_n solved first
+    for n in range(4, 201, 2):
+        mu_n, tau_n = bd.mu(n, bits).mu, bd.tau(n, bits)
+        (call,) = seeded_calls(lambda: bd._sigma(n, bits, None, mu_n, tau_n))
+        assert call.seed is not None
         assert_agrees_with_oracle(call, bits)
 
 
