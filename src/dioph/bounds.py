@@ -206,7 +206,8 @@ def _defect(n: int, a, b) -> tuple:
     r = a / b
     eps = 1 - _geometric_sum(a, r, n)  # the geometric closed form of the sum
     gap = b - a
-    threshold = r**n * (a if a <= gap else gap) / (4 * n)
+    smaller = a if a <= gap else gap
+    threshold = r**n * smaller / (4 * n)
 
     if eps == 0:
         phi = rho = eps  # 0

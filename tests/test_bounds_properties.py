@@ -137,6 +137,7 @@ def float_h_agrees(n: int, alpha: PR) -> bool:
     half_n=st.integers(min_value=2, max_value=100),
     depth=st.floats(min_value=0.0, max_value=16.0, allow_nan=False),
 )
+@example(half_n=51, depth=4.28)  # d^-n would overflow floats here, d^n underflows
 def test_cleared_sigma_equation_keeps_the_sign_of_w_minus_mu(half_n, depth):
     # at alpha = tau_n - (tau_n - 1/n) 10^-depth, on both sides of sigma_n:
     # h = d^n den (W - mu_n) has W - mu_n's sign wherever the envelope is
