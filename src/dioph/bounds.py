@@ -11,7 +11,6 @@ classical identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
@@ -123,8 +122,7 @@ def _geometric_sum(first, ratio, count: int):
 # -- the defect and Theorem-level dual bounds --------------------------------
 
 
-@dataclass(frozen=True)
-class BoundContext:
+class BoundContext(NamedTuple):
     """(n, alpha, beta) with every derived quantity of the dual-bound theorem."""
 
     n: int
@@ -156,8 +154,7 @@ class BoundContext:
         return self.epsilon.sign() > 0 and self.epsilon <= self.threshold + slack
 
 
-@dataclass(frozen=True)
-class DualBoundSet:
+class DualBoundSet(NamedTuple):
     """The four dual-exponent bounds, exactly as displayed in the source."""
 
     what_lower: PrecisionReal
@@ -667,8 +664,7 @@ def _integer_approx(n: int, sigma_n: PrecisionReal, th: PrecisionReal) -> Tuple[
 # -- per-n summary -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(NamedTuple):
     """All per-dimension constants; fields not defined for a given n are None."""
 
     n: int

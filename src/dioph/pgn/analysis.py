@@ -7,8 +7,7 @@ statement holds only eventually.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..bounds import mm_defect, transfer_dual
 from ..numerics import PrecisionReal, Scalar
@@ -26,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExponentEstimates:
+class ExponentEstimates(NamedTuple):
     """Windowed empirical exponents.
 
     The ordinary exponent is the least-squares slope of -log Y_k against
@@ -111,8 +109,7 @@ def estimate_exponents(
     )
 
 
-@dataclass(frozen=True)
-class TheoremVReport:
+class TheoremVReport(NamedTuple):
     """Verification of the near-regular-graph record description on data.
 
     Margins are the worst (largest) left-minus-relaxation values of the two
@@ -181,8 +178,7 @@ def check_theorem_v(
     )
 
 
-@dataclass(frozen=True)
-class IntersectionRow:
+class IntersectionRow(NamedTuple):
     """Breakpoint geometry around the k-th record (1-based k).
 
     q is the branch minimum of record k, r its crossing with record k+1;

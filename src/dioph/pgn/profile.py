@@ -16,12 +16,11 @@ as a lazy merge of two lists sorted once, scoring only what it draws.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from heapq import heappop, heappush, merge
 from itertools import groupby
 from math import inf
 from operator import attrgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath.libmp import mpf_cmp
 
@@ -47,8 +46,8 @@ __all__ = [
     "build_q_grid",
 ]
 
-@dataclass(frozen=True)
-class ProfileSample:
+
+class ProfileSample(NamedTuple):
     """One parameter value with the n+1 profile values and their witnesses
     (indices into the candidate pool), L nondecreasing in the index."""
 

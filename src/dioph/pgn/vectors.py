@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby, product
 from operator import attrgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath.libmp import from_man_exp, mpf_cmp
 
@@ -41,22 +40,30 @@ class InsufficientData(PgnError):
     """Not enough points in the analysis window."""
 
 
-@dataclass(frozen=True)
-class TargetPoint:
+class _TargetFields(NamedTuple):
+    n: int
+    coords: Tuple[PrecisionReal, ...]
+    source: str
+    precision_bits: int
+
+
+class TargetPoint(_TargetFields):
     """The point being approximated: n coordinates at a fixed precision.
 
     Whether the coordinates are rationally independent together with 1 is the
     caller's assertion; it cannot be verified from finite precision.
     """
 
-    n: int
-    coords: Tuple[PrecisionReal, ...]
-    source: str
-    precision_bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(c.is_finite for c in self.coords):
-            raise ValueError(f"the coordinates of {self.source} must be finite")
+    def __new__(cls, n: int, coords: Tuple[PrecisionReal, ...], source: str, precision_bits: int):
+        if not all(c.is_finite for c in coords):
+            raise ValueError(f"the coordinates of {source} must be finite")
+        return super().__new__(cls, n, coords, source, precision_bits)
+
+    @classmethod
+    def _make(cls, iterable) -> "TargetPoint":
+        return cls(*iterable)  # so _replace checks the coordinates too
 
     @classmethod
     def veronese(
@@ -154,20 +161,21 @@ class ApproxVector:
         return f"ApproxVector(x={self.x}, y={self.y}, Y={float(self.Y):.6g})"
 
 
-@dataclass(frozen=True)
-class MinimalPointSequence:
-    """Strictly-improving record subsequence: x increasing, Y decreasing."""
+class MinimalPointSequence(tuple):
+    """Strictly-improving record subsequence: x increasing, Y decreasing; a
+    tuple of its records."""
 
-    points: Tuple[ApproxVector, ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.points)
+    def __new__(cls, points: Iterable[ApproxVector]):
+        return super().__new__(cls, points)
 
-    def __iter__(self):
-        return iter(self.points)
+    @property
+    def points(self) -> Tuple[ApproxVector, ...]:
+        return self
 
-    def __getitem__(self, i):
-        return self.points[i]
+    def __repr__(self) -> str:
+        return f"MinimalPointSequence(points={tuple.__repr__(self)})"
 
 
 def _error_vector(x: int, y: Sequence[int], D: int, E: int, p: int) -> ApproxVector:

@@ -9,10 +9,9 @@ rank oracles use exact rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from mpmath import mp
 
@@ -41,8 +40,7 @@ ORACLE_X_MAX = 100
 PROFILE_X_MAX = 300
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     ok: bool

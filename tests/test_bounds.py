@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 from unittest.mock import patch
@@ -763,7 +762,7 @@ class TestConstantsReport:
 
 
 def report_values(rep: bd.ConstantsReport):
-    return tuple(getattr(rep, f.name) for f in fields(rep) if isinstance(getattr(rep, f.name), PR))
+    return tuple(getattr(rep, name) for name in rep._fields if isinstance(getattr(rep, name), PR))
 
 
 # every public solver at one input, as the tuple of the values it returns

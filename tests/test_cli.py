@@ -97,13 +97,18 @@ class TestBoundsCommand:
         assert "too coarse to separate tau(4) from sigma(4)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["1e-4", "3e-4", "1e-3", "3e-3", "4e-3", "1e-2", "2e-2"])
-    def test_tol_refused_exactly_when_tau_lies_below_sigma(self, tol):
-        below = bd.tau(4, tol=tol) < bd.sigma(4)
-        try:
-            code, _ = run_cli("bounds", "--n", "4", "--tol", tol)
-        except SystemExit as exc:
-            code = exc.code
-        assert code == (2 if below else 0)
+    def test_tol_refused_exactly_when_tau_lies_below_sigma(self, tol, monkeypatch):
+        # a seeded tau(4) never lies below sigma(4); solved from its algebraic
+        # bracket alone, it does at 3e-4, 1e-3 and 3e-3
+        for seeded in (True, False):
+            if not seeded:
+                monkeypatch.setattr(bd, "float_root", lambda f, lo, hi: None)
+            below = bd.tau(4, tol=tol) < bd.sigma(4)
+            try:
+                code, _ = run_cli("bounds", "--n", "4", "--tol", tol)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == (2 if below else 0)
 
     @pytest.mark.parametrize("tol", ["0.9", "1e-2", "1e-3"])
     def test_coarse_tol_keeps_sigma_within_tol(self, tol):
@@ -443,6 +448,11 @@ class TestSubprocessEntry:
 
     def test_cli_import_does_not_load_numpy(self):
         assert not loaded_by_cli_import("numpy")
+
+    def test_cli_import_does_not_load_dataclasses(self):
+        # every result record is a NamedTuple; dataclasses would pull in inspect
+        assert not loaded_by_cli_import("dataclasses")
+        assert not loaded_by_cli_import("inspect")
 
     def test_cli_import_does_not_load_suites(self):
         # only `verify` runs a suite, and it imports suites itself
