@@ -162,6 +162,11 @@ class PrecisionReal:
         # at_precision hands one cached value to every caller
         raise AttributeError("PrecisionReal is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _make: restoring the slots would
+        # go through the __setattr__ guard
+        return PrecisionReal._make, (self.raw, self.precision_bits)
+
     @classmethod
     def _make(cls, raw: tuple, bits: int) -> "PrecisionReal":
         obj = _new(cls)

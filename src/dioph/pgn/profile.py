@@ -31,6 +31,7 @@ from .vectors import (
     InsufficientRank,
     MinimalPointSequence,
     TargetPoint,
+    _box,
     _error_vector,
     _pool_boxes,
 )
@@ -118,6 +119,38 @@ def _undominated(pool: Sequence[ApproxVector], n: int) -> List[int]:
     return kept
 
 
+def _next_near(Xi: int, E: int, bound: int, x: int) -> int:
+    """The least x' > x with |x' X_i - y 2^E| < bound for some integer y,
+    for 1 <= bound <= 2^(E-1); one exists, as every multiple of 2^E has
+    error 0.
+
+    With m = 2^E, a = X_i mod m and x' = x + 1 + t, that is the least
+    t >= 0 with a t mod m in a window [lo, hi] of 2 bound - 1 residues.
+    Unless a multiple of a lies in it, write a t = m s + u with u in the
+    window: the least s has m s mod a in [-hi mod a, -lo mod a], the same
+    problem on (m mod a, a), and t = ceil((lo + m s) / a).  The moduli
+    fall as in Euclid's algorithm and the window keeps its width, so the
+    descent stops once a modulus is no wider than the window.  Each
+    problem has a solution, so an a that divides m has a multiple in the
+    window, and no modulus reached is 0.
+    """
+    m = 1 << E
+    a = Xi % m
+    lo = -(a * (x + 1) + bound - 1) % m
+    hi = lo + 2 * bound - 2
+    t = 0
+    levels = []
+    while lo and hi < m:  # 0 is not in the window
+        t = -(-lo // a)
+        if a * t <= hi:
+            break
+        levels.append((a, m, lo))
+        a, m, lo, hi = m % a, a, -hi % a, -lo % a
+    for a, m, lo in reversed(levels):
+        t = -(-(lo + m * t) // a)
+    return x + 1 + t
+
+
 def undominated_candidates(
     target: TargetPoint, x_max: int, widen: int = 0
 ) -> Tuple[List[ApproxVector], int]:
@@ -135,25 +168,43 @@ def undominated_candidates(
     pool vector, so ties fall as in `_undominated`; the records of the pool
     are all kept, since no earlier vector has a Y as small.  Raises
     RationalDependence at the pool's first zero error.
+
+    Once that bound B is at most 2^(E-1), a box x with a coordinate at
+    |D_i| >= B is followed by box `_next_near`(X_i, E, B, x): every box
+    between has |D_i| >= B too, so it would be skipped, and B cannot fall
+    before a box is listed.  A zero error has every |D_i| = 0 < B, so it
+    is never jumped over.
     """
-    p, E = target.precision_bits, target.scaled()[1]
-    frontier = _Frontier(target.n)
+    p, n = target.precision_bits, target.n
+    X, E = target.scaled()
+    half = (1 << E) >> 1
+    per = (2 * widen + 1) ** n
+    size = n + x_max * per
+    frontier = _Frontier(n)
     kept: List[ApproxVector] = []
     bound = inf  # the largest basis Y times 2^E once the basis is full
-    size = 0
-    for x, low, count, entries in _pool_boxes(target, x_max, widen):
-        size += count
-        if low >= bound:
+    boxes = _pool_boxes(target, x_max, widen)
+    box = next(boxes)
+    while box:
+        x, Ds, count, entries = box
+        if x == 1:
+            size += count - per  # (1, 0, ..., 0) merged into the x = 1 box
+        if max(map(abs, Ds)) < bound:
+            for y, D in entries():
+                if D >= bound:
+                    continue
+                v = _error_vector(x, y, D, E, p)
+                if frontier.offer(v):
+                    kept.append(v)
+                    if frontier.ceiling is not None:
+                        _, man, exp, _ = frontier.ceiling
+                        bound = man << (exp + E)
+        if bound > half:  # no window to jump to yet: walk every x
+            box = next(boxes, None)
             continue
-        for y, D in entries():
-            if D >= bound:
-                continue
-            v = _error_vector(x, y, D, E, p)
-            if frontier.offer(v):
-                kept.append(v)
-                if frontier.ceiling is not None:
-                    _, man, exp, _ = frontier.ceiling
-                    bound = man << (exp + E)
+        far = next((i for i, D in enumerate(Ds) if abs(D) >= bound), None)
+        x = x + 1 if far is None else _next_near(X[far], E, bound, x)
+        box = x <= x_max and (x, *_box(X, E, widen, x))
     return kept, size
 
 

@@ -186,27 +186,27 @@ def _error_vector(x: int, y: Sequence[int], D: int, E: int, p: int) -> ApproxVec
     return ApproxVector(x, y, PrecisionReal._make(from_man_exp(D, -E, p, RND), p), p)
 
 
-def _pool_boxes(target: TargetPoint, x_max: int, widen: int) -> Iterator[tuple]:
-    """The candidate pool as boxes (x, low, size, entries) in (x, y) order:
-    each unit-type vector (0, e_i), then per x = 1, ..., x_max the +-widen
-    box around the nearest-integer vector (ties to even), with
-    (1, 0, ..., 0) merged into the x = 1 box.  entries() lists the (y, D)
-    pairs in y order, the errors being D / 2^E (`TargetPoint.scaled`); like
-    a `groupby` group it is valid only until the next box is drawn.  low is
-    the nearest-integer vector's D, the smallest of its box, because
-    |D_i| <= 2^(E-1) <= |D_i - o 2^E| for every offset o != 0.  A box costs
-    one divmod per coordinate until it is listed.
+def _box(X: Sequence[int], E: int, widen: int, x: int) -> tuple:
+    """Box x >= 1 of the pool, the +-widen box around the nearest-integer
+    vector at x (ties to even), as (Ds, size, entries).  Ds are that
+    vector's error numerators D_i = x X_i - y_i 2^E, |D_i| <= 2^(E-1);
+    the box's smallest numerator is max |D_i|, because
+    |D_i| <= 2^(E-1) <= |D_i - o 2^E| for every offset o != 0.  entries()
+    lists its (y, D) pairs in y order, with (1, 0, ..., 0) merged into the
+    x = 1 box when it lies outside it.  Costs one divmod per coordinate
+    until it is listed.
     """
-    if x_max < 1:
-        raise ValueError("x_max must be >= 1")
-    if widen < 0:
-        raise ValueError("widen must be >= 0")
-    n = target.n
-    X, E = target.scaled()
     one = 1 << E
     half = one >> 1  # D > half is 2 D > one, also when E = 0
     steps = range(-widen, widen + 1)
-    size = len(steps) ** n
+    bases, Ds = [], []
+    for Xi in X:
+        # D = x X_i - base 2^E; the offset o moves it by -o 2^E
+        base, D = divmod(x * Xi, one)
+        if D > half or (2 * D == one and base & 1):
+            base, D = base + 1, D - one
+        bases.append(base)
+        Ds.append(D)
 
     def entries() -> Iterator[tuple]:
         # y = bases + o, o in steps^n; x xi_i - y_i has numerator D_i - o_i 2^E
@@ -215,22 +215,30 @@ def _pool_boxes(target: TargetPoint, x_max: int, widen: int) -> Iterator[tuple]:
             map(max, product(*([abs(D - (o << E)) for o in steps] for D in Ds))),
         )
 
+    size = len(steps) ** len(X)
+    if x == 1 and max(map(abs, bases)) > widen:  # (1, 0, ..., 0) is outside the box
+        return Ds, size + 1, sorted([*entries(), ((0,) * len(X), max(map(abs, X)))]).__iter__
+    return Ds, size, entries
+
+
+def _pool_boxes(target: TargetPoint, x_max: int, widen: int) -> Iterator[tuple]:
+    """The candidate pool as boxes (x, Ds, size, entries) in (x, y) order:
+    each unit-type vector (0, e_i), then `_box` x for x = 1, ..., x_max.
+    entries() lists the (y, D) pairs in y order, the errors being D / 2^E
+    (`TargetPoint.scaled`); like a `groupby` group it is valid only until
+    the next box is drawn.
+    """
+    if x_max < 1:
+        raise ValueError("x_max must be >= 1")
+    if widen < 0:
+        raise ValueError("widen must be >= 0")
+    n = target.n
+    X, E = target.scaled()
+    one = 1 << E
     for i in reversed(range(n)):
-        yield 0, one, 1, [(tuple(int(j == i) for j in range(n)), one)].__iter__
+        yield 0, [one], 1, [(tuple(int(j == i) for j in range(n)), one)].__iter__
     for x in range(1, x_max + 1):
-        bases, Ds = [], []
-        for Xi in X:
-            # D = x X_i - base 2^E; the offset o moves it by -o 2^E
-            base, D = divmod(x * Xi, one)
-            if D > half or (2 * D == one and base & 1):
-                base, D = base + 1, D - one
-            bases.append(base)
-            Ds.append(D)
-        low = max(map(abs, Ds))
-        if x == 1 and max(map(abs, bases)) > widen:  # (1, 0, ..., 0) is outside the box
-            yield x, low, size + 1, sorted([*entries(), ((0,) * n, max(map(abs, X)))]).__iter__
-        else:
-            yield x, low, size, entries
+        yield (x, *_box(X, E, widen, x))
 
 
 def enumerate_candidates(target: TargetPoint, x_max: int, widen: int = 0) -> List[ApproxVector]:
