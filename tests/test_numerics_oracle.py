@@ -7,7 +7,9 @@ reads only the operands' raw mpf and precision, so it holds whichever path
 the wrapper takes to the result.
 """
 
+import copy
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -185,3 +187,19 @@ def test_attributes_cannot_be_assigned(name):
         with pytest.raises(AttributeError):
             delattr(x, name)
     assert b.raw == mpf_add(a.raw, a.raw, 256, round_nearest) and b.precision_bits == 256
+
+
+@pytest.mark.parametrize(
+    "copier", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
+)
+@pytest.mark.parametrize(
+    "value, bits",
+    [("0.75", 256), ("-1e-300", 64), ("0", 7), ("inf", 128), ("-inf", 53), ("nan", 256)],
+)
+def test_copies_keep_raw_and_bits(copier, value, bits):
+    a = PR(value, bits)
+    b = copier(a)
+    assert type(b) is PR and b.raw == a.raw and b.precision_bits == a.precision_bits
+    with pytest.raises(AttributeError):
+        b.raw = a.raw
+

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 import dioph.numerics
 from dioph import pgn
-from dioph.numerics import PrecisionReal, e_value, exp as nexp, golden_value, log as nlog
-from dioph.pgn.profile import _undominated
+from dioph.numerics import NAMED_CONSTANTS, PrecisionReal, e_value, golden_value
+from dioph.numerics import exp as nexp, log as nlog
+from dioph.pgn.profile import _next_near, _undominated
 from dioph.suites import exhaustive_minmax, thinned_pool
 
 PR = PrecisionReal
@@ -345,6 +346,36 @@ def test_stream_matches_the_pool(coords, widen, x_max, bits):
     assert stream_outcome(target, x_max, widen) == pool_outcome(target, x_max, widen)
 
 
+def brute_next_near(Xi, E, bound, x):
+    # the error of x' X_i over 2^E has period 2^E in x', and is 0 at x' = 2^E
+    m = 1 << E
+    return next(t for t in range(x + 1, x + 1 + m) if min(t * Xi % m, -t * Xi % m) < bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.integers(1, 12).flatmap(
+        lambda E: st.tuples(
+            st.just(E),
+            st.integers(-(4 << E), 4 << E) | st.integers(-3, 3).map(lambda k: k << E),
+            st.integers(1, 1 << (E - 1)),
+            st.integers(0, 5 << E),
+        )
+    )
+)
+@example(case=(1, 1, 1, 0))  # the smallest E: 2^E = 2, bound = 1 = 2^(E-1)
+@example(case=(5, 3 << 5, 4, 7))  # X_i = 0 mod 2^E: every x' is near
+@example(case=(6, 5, 1, 3))  # bound 1: only a zero error, x' = 64
+@example(case=(4, 3, 8, 5))  # bound = 2^(E-1): all but the ties are near
+@example(case=(4, 8, 8, 1))  # xi = 1/2: each odd x' ties at exactly half
+@example(case=(4, 24, 3, 16))  # a tie at half, bound below it
+@example(case=(3, 7, 1, 20))  # a start beyond one period
+@example(case=(12, 2531, 1, 0))  # 2531 / 2^12 near the golden ratio: a long descent
+def test_next_near_matches_a_scan(case):
+    E, Xi, bound, x = case
+    assert _next_near(Xi, E, bound, x) == brute_next_near(Xi, E, bound, x)
+
+
 class TestUndominatedCandidates:
     def test_support_vector_outside_the_first_box(self):
         # round(5.3) = 5, so the widen-1 box at x = 1 is y = 4..6 and the
@@ -388,6 +419,35 @@ class TestUndominatedCandidates:
         for a, b in zip(pgn.profile(pool, grid, 2), pgn.profile(kept, grid, 2)):
             assert a.L == b.L
             assert [pool[i].ints() for i in a.witnesses] == [kept[i].ints() for i in b.witnesses]
+
+
+@pytest.mark.parametrize("widen", [0, 1, 2])
+@pytest.mark.parametrize("n, x_max", [(1, 3000), (2, 1000)])
+@pytest.mark.parametrize("name", ["golden", "e", "pi", "sqrt2"])
+def test_stream_matches_the_pool_where_it_jumps(name, n, x_max, widen):
+    # past the first few x the frontier's bound is below 2^(E-1), so the
+    # stream jumps over the boxes it would skip
+    target = pgn.TargetPoint.veronese(NAMED_CONSTANTS[name](256), n)
+    assert stream_outcome(target, x_max, widen) == pool_outcome(target, x_max, widen)
+
+
+def test_stream_builds_few_boxes(monkeypatch):
+    vectors_module = sys.modules["dioph.pgn.vectors"]
+    profile_module = sys.modules["dioph.pgn.profile"]
+    built = []
+    box = vectors_module._box
+
+    def counted(X, E, widen, x):
+        built.append(x)
+        return box(X, E, widen, x)
+
+    monkeypatch.setattr(vectors_module, "_box", counted)
+    monkeypatch.setattr(profile_module, "_box", counted)
+    t = pgn.TargetPoint.veronese(golden_value(), 1)
+    kept, size = pgn.undominated_candidates(t, 10**6, widen=1)
+    assert size == 1 + 3 * 10**6 + 1
+    assert len(built) < 100 and built == sorted(set(built))
+    assert [v.x for v in pgn.minimal_points(kept)][-3:] == [317811, 514229, 832040]
 
 
 class TestMinkowskiDefect:

@@ -4,6 +4,9 @@ Each record is built positionally from distinct values, so its repr and
 attribute access show both its field names and their order.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from dioph import bounds as bd
@@ -87,3 +90,11 @@ def test_target_point_replace_checks_coordinates():
         t._replace(coords=(PR("inf"), PR(1)))
     with pytest.raises(ValueError, match="must be finite"):
         pgn.TargetPoint._make((2, (PR(1), PR("-inf")), "x", 64))
+
+
+def test_records_holding_reals_copy_and_pickle():
+    mu = bd.mu(4)
+    assert copy.deepcopy(mu) == mu
+    report = bd.constants_report(4, 64)
+    assert pickle.loads(pickle.dumps(report)) == report
+
