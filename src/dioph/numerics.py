@@ -9,7 +9,6 @@ for concurrent use).
 
 from __future__ import annotations
 
-import decimal
 import functools
 import math
 from typing import Callable, List, Optional, Tuple, Union
@@ -38,6 +37,8 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_pi,
     mpf_pow_int,
+    mpf_shift,
+    mpf_sign,
     mpf_sqrt,
     mpf_sub,
     round_nearest,
@@ -108,14 +109,16 @@ def _rounded(op: Callable, reflected: bool = False) -> Callable:
     at the larger of the two precisions; reflected swaps the operands."""
 
     def method(self, other):
-        if type(other) is not PrecisionReal:  # the fast path skips _coerce
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
         p = self.precision_bits
-        if other.precision_bits > p:
-            p = other.precision_bits
-        raw = op(other.raw, self.raw, p, RND) if reflected else op(self.raw, other.raw, p, RND)
+        if type(other) is PrecisionReal:
+            if other.precision_bits > p:
+                p = other.precision_bits
+            b = other.raw
+        else:  # a Scalar, taken at this value's precision
+            b = self._coerce(other)
+            if b is None:
+                return NotImplemented
+        raw = op(b, self.raw, p, RND) if reflected else op(self.raw, b, p, RND)
         obj = _new(PrecisionReal)
         _set_raw(obj, raw)
         _set_bits(obj, p)
@@ -216,17 +219,22 @@ class PrecisionReal:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerce(self, other: Scalar) -> Optional["PrecisionReal"]:
-        """other at this value's precision, as __init__ gives it; None for
-        a type that is not a Scalar."""
-        if isinstance(other, PrecisionReal):
-            return other
+    def _coerce(self, other: Scalar) -> Optional[tuple]:
+        """other's raw mpf at this value's precision, as __init__ rounds it;
+        None for a type that is not a Scalar.  A small int's exact raw comes
+        from _SMALL_INTS wherever its mantissa fits the precision, so that
+        rounding it would change nothing."""
+        bits = self.precision_bits
+        if type(other) is int:
+            raw = _SMALL_INTS.get(other)
+            if raw is not None and raw[3] <= bits:
+                return raw
         if isinstance(other, int):
-            return PrecisionReal._make(from_int(other, self.precision_bits, RND), self.precision_bits)
+            return from_int(other, bits, RND)
         if isinstance(other, float):
-            return PrecisionReal._make(from_float(other, self.precision_bits, RND), self.precision_bits)
+            return from_float(other, bits, RND)
         if isinstance(other, str):
-            return PrecisionReal(other, self.precision_bits)
+            return from_str(other, bits, RND)
         return None
 
     __add__ = __radd__ = _rounded(mpf_add)
@@ -256,22 +264,20 @@ class PrecisionReal:
     # -- comparisons (exact) ----------------------------------------------
 
     def _cmp(self, other: Scalar) -> Optional[int]:
-        if type(other) is not PrecisionReal:
-            other = self._coerce(other)
-            if other is None:
-                return None
-        if self.raw == fnan or other.raw == fnan:
+        b = other.raw if type(other) is PrecisionReal else self._coerce(other)
+        if b is None:
+            return None
+        if self.raw == fnan or b == fnan:
             raise ValueError("ordering comparison with NaN")
-        return mpf_cmp(self.raw, other.raw)
+        return mpf_cmp(self.raw, b)
 
     def __eq__(self, other):
-        if type(other) is not PrecisionReal:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        if self.raw == fnan or other.raw == fnan:
+        b = other.raw if type(other) is PrecisionReal else self._coerce(other)
+        if b is None:
+            return NotImplemented
+        if self.raw == fnan or b == fnan:
             return False
-        return mpf_cmp(self.raw, other.raw) == 0
+        return mpf_cmp(self.raw, b) == 0
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -305,6 +311,10 @@ class PrecisionReal:
 _new = object.__new__
 _set_raw = PrecisionReal.raw.__set__
 _set_bits = PrecisionReal.precision_bits.__set__
+
+# from_int(k) for small k: exact, so from_int(k, bits, RND) at any bits that
+# holds its mantissa (raw[3] bits)
+_SMALL_INTS = {k: from_int(k) for k in range(-256, 257)}
 
 
 def _as_real(x: Scalar, bits: Optional[int] = None) -> PrecisionReal:
@@ -418,6 +428,8 @@ def format_real(x: Scalar, significant: int = 12) -> str:
         return "-inf"
     if r.raw == fzero:
         return "0"
+    import decimal  # here, so importing dioph does not load it
+
     sign, man, expo, _ = r.raw
     with decimal.localcontext() as ctx:
         ctx.prec = significant + 20
@@ -433,10 +445,11 @@ def format_real(x: Scalar, significant: int = 12) -> str:
 # -- bracketed root finding --------------------------------------------------
 
 
-def _target_width(lo: PrecisionReal, hi: PrecisionReal, tol: PrecisionReal) -> PrecisionReal:
-    """tol times the larger of |lo|, |hi| and 1: the width a root is solved to."""
-    m = max(abs(lo), abs(hi))
-    return tol if m <= 1 else tol * m  # tol * 1 is tol exactly
+def _width(lo: tuple, hi: tuple, tol: tuple, bits: int) -> tuple:
+    """tol times the larger of |lo|, |hi| and 1, for raw mpfs lo <= hi: the
+    width a root is solved to.  max(|lo|, |hi|) is max(-lo, hi) there."""
+    m = mpf_neg(lo) if mpf_cmp(mpf_neg(lo), hi) > 0 else hi
+    return tol if mpf_cmp(m, fone) <= 0 else mpf_mul(tol, m, bits, RND)  # tol * 1 is tol exactly
 
 
 def float_root(f: Callable[[float], float], lo: Scalar, hi: Scalar) -> Optional[float]:
@@ -502,6 +515,20 @@ def _seed_points(
     return (left, right) if lo < left < right < hi else None
 
 
+def _raw_value(v: Scalar, bits: int) -> tuple:
+    """A value of f as a raw mpf at bits, as PrecisionReal(v, bits) holds it."""
+    if type(v) is PrecisionReal and v.precision_bits <= bits:
+        return v.raw
+    return PrecisionReal(v, bits).raw
+
+
+def _sign(raw: tuple, t: PrecisionReal) -> int:
+    """The sign of f's raw value at t; InvalidPoint where it is NaN."""
+    if raw == fnan:
+        raise InvalidPoint(f"f is NaN at {t!r}")
+    return mpf_sign(raw)
+
+
 def find_root(
     f: Callable[[PrecisionReal], Scalar],
     lo: PrecisionReal,
@@ -534,80 +561,100 @@ def find_root(
     the certificate.  The result is the midpoint of a bracket whose two
     ends f was evaluated at, with opposite signs, or a point where f is 0.
 
+    Everything runs at the bracket's precision, the larger of lo's and
+    hi's: tol and each value of f are taken at it as PrecisionReal(v, bits)
+    takes them, so one that carries more bits is rounded to it first.  The
+    loop runs on raw libmp values, each rounded as the PrecisionReal
+    operator would round it, and hands f a PrecisionReal at that precision.
+
     tol None is at_precision(DEFAULT_TOL, bits) at the bracket's precision.
     Deterministic; never leaves the bracket.  Raises InvalidBracket unless
     lo < hi and the endpoint signs of f differ (not checked where the seed's
-    points bracket a root), NoConvergence when the working precision is
-    exhausted before reaching the width target.
+    points bracket a root), InvalidPoint where f is NaN at a point,
+    NoConvergence when the working precision is exhausted before reaching
+    the width target.
     """
     if not lo < hi:
         raise InvalidBracket("bracket requires lo < hi")
     bits = max(lo.precision_bits, hi.precision_bits)
-    tol = at_precision(DEFAULT_TOL, bits) if tol is None else _as_real(tol, bits)
+    tol = at_precision(DEFAULT_TOL, bits) if tol is None else PrecisionReal(tol, bits)
     if tol.sign() <= 0:
         raise ValueError("tol must be positive")
 
-    f_lo = None
+    ends = None
     pair = None if seed is None else _seed_points(seed, lo, hi)
     if pair is not None:
         t1, t2 = pair
-        f1, f2 = _as_real(f(t1), bits), _as_real(f(t2), bits)
-        s1, s2 = f1.sign(), f2.sign()
+        f1, f2 = _raw_value(f(t1), bits), _raw_value(f(t2), bits)
+        s1, s2 = _sign(f1, t1), _sign(f2, t2)
         if s1 == 0:
             return t1
         if s2 == 0:
             return t2
         if s1 != s2:  # the seed's points bracket a root
-            lo, f_lo, hi, f_hi = t1, f1, t2, f2
-    if f_lo is None:
-        f_lo = _as_real(f(lo), bits)
-        f_hi = _as_real(f(hi), bits)
-        s_lo, s_hi = f_lo.sign(), f_hi.sign()
+            ends = t1.raw, f1, t2.raw, f2
+    if ends is None:
+        f_lo, f_hi = _raw_value(f(lo), bits), _raw_value(f(hi), bits)
+        s_lo, s_hi = _sign(f_lo, lo), _sign(f_hi, hi)
         if s_lo == 0:
             return lo
         if s_hi == 0:
             return hi
         if s_lo == s_hi:
             raise InvalidBracket("f has the same sign at both endpoints")
+        ends = lo.raw, f_lo, hi.raw, f_hi
         if pair is not None:  # both of the seed's points lie on one side of the root
-            lo, f_lo, hi, f_hi = (t2, f2, hi, f_hi) if s1 == s_lo else (lo, f_lo, t1, f1)
-    s_lo = f_lo.sign()
+            ends = (t2.raw, f2, hi.raw, f_hi) if s1 == s_lo else (lo.raw, f_lo, t1.raw, f1)
+    lo, f_lo, hi, f_hi = ends
+    s_lo = mpf_sign(f_lo)
+    tol = tol.raw
 
-    # (x, fx) is the latest point taken, (w, fw) the one before it
-    x, fx, w, fw = (lo, f_lo, hi, f_hi) if abs(f_lo) <= abs(f_hi) else (hi, f_hi, lo, f_lo)
+    # raw mpfs from here on, every rounding at bits; halving and doubling
+    # are exact shifts.  (x, fx) is the latest point taken, (w, fw) the one
+    # before it
+    x, fx, w, fw = lo, f_lo, hi, f_hi
+    if mpf_cmp(mpf_abs(f_lo), mpf_abs(f_hi)) > 0:
+        x, fx, w, fw = hi, f_hi, lo, f_lo
     probed = False  # the last point taken was a closing probe
-    last = before = 2 * (hi - lo)  # the last two step lengths
+    last = before = mpf_shift(mpf_sub(hi, lo, bits, RND), 1)  # the last two step lengths
     for _ in range(4 * bits + 128):
-        if hi - lo <= _target_width(lo, hi, tol):
-            return (lo + hi) / 2
-        mid = (lo + hi) / 2
-        if not (lo < mid < hi):
+        mid = mpf_shift(mpf_add(lo, hi, bits, RND), -1)
+        if mpf_cmp(mpf_sub(hi, lo, bits, RND), _width(lo, hi, tol, bits)) <= 0:
+            return PrecisionReal._make(mid, bits)
+        if mpf_cmp(lo, mid) >= 0 or mpf_cmp(mid, hi) >= 0:
             raise NoConvergence(
                 "bisection stalled before reaching tol; increase precision_bits"
             )
         t = mid
-        if probed or fx == fw:
+        if probed or fx == fw:  # raw mpfs are equal exactly when their tuples are
             probed = False
         else:
-            step = fx * (x - w) / (fx - fw)
-            est = x - step
-            if step.is_finite:
-                half = _target_width(est, est, tol) / 2
-                length = abs(step)
-                if length < half:
-                    probe = est - half if step > 0 else est + half
-                    t, probed = (probe, True) if lo < probe < hi else (mid, False)
-                elif lo < est < hi and length <= before / 2:
+            num = mpf_mul(fx, mpf_sub(x, w, bits, RND), bits, RND)
+            step = mpf_div(num, mpf_sub(fx, fw, bits, RND), bits, RND)
+            est = mpf_sub(x, step, bits, RND)
+            if step not in (finf, fninf, fnan):
+                half = mpf_shift(_width(est, est, tol, bits), -1)
+                length = mpf_abs(step)
+                if mpf_cmp(length, half) < 0:
+                    probe = (mpf_sub if mpf_sign(step) > 0 else mpf_add)(est, half, bits, RND)
+                    if mpf_cmp(lo, probe) < 0 and mpf_cmp(probe, hi) < 0:
+                        t, probed = probe, True
+                elif (
+                    mpf_cmp(lo, est) < 0
+                    and mpf_cmp(est, hi) < 0
+                    and mpf_cmp(length, mpf_shift(before, -1)) <= 0
+                ):
                     t = est
-        f_t = _as_real(f(t), bits)
-        s_t = f_t.sign()
+        point = PrecisionReal._make(t, bits)
+        f_t = _raw_value(f(point), bits)
+        s_t = _sign(f_t, point)
         if s_t == 0:
-            return t
+            return point
         if s_t == s_lo:
             lo = t
         else:
             hi = t
-        before, last = last, abs(t - x)
+        before, last = last, mpf_abs(mpf_sub(t, x, bits, RND))
         w, fw, x, fx = x, fx, t, f_t
     raise NoConvergence("iteration budget exhausted")
 

@@ -128,6 +128,20 @@ class TestBoundsCommand:
         assert exc.value.code == 2
         assert "tol must parse as a positive real" in capsys.readouterr().err
 
+    def test_nan_in_a_solve_exits_4(self, monkeypatch):
+        # a NaN value of f is a numeric failure (exit 4), not a usage error
+        solve = bd.find_root
+
+        def nan_solve(f, lo, hi, tol=None, seed=None):
+            return solve(lambda x: PR("nan"), lo, hi, tol)
+
+        monkeypatch.setattr(bd, "find_root", nan_solve)
+        code, out = run_cli("bounds", "--n", "4")
+        assert code == 4
+        error = json.loads(out)
+        assert error["error"] == "InvalidPoint"
+        assert error["message"].startswith("f is NaN at PrecisionReal(")
+
     def test_bad_range_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("bounds", "--n", "8..4")
@@ -453,6 +467,10 @@ class TestSubprocessEntry:
         # every result record is a NamedTuple; dataclasses would pull in inspect
         assert not loaded_by_cli_import("dataclasses")
         assert not loaded_by_cli_import("inspect")
+
+    def test_cli_import_does_not_load_decimal(self):
+        # only format_real uses decimal, and imports it itself
+        assert not loaded_by_cli_import("decimal")
 
     def test_cli_import_does_not_load_suites(self):
         # only `verify` runs a suite, and it imports suites itself

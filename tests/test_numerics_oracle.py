@@ -4,7 +4,7 @@ Each operator must return exactly what the libmp function returns at the
 larger of the two operand precisions with round-nearest, after a Scalar
 operand is rounded at the PrecisionReal operand's precision.  The oracle
 reads only the operands' raw mpf and precision, so it holds whichever path
-the wrapper takes to the result.
+the wrapper takes to the result, the memo of small ints' exact raws too.
 """
 
 import copy
@@ -30,15 +30,23 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from dioph.numerics import PrecisionReal
+from dioph.numerics import _SMALL_INTS, PrecisionReal
 
 PR = PrecisionReal
-BITS = st.sampled_from([64, 256, 300])
+# below 9 bits some memoized small ints round and others do not
+BITS = st.sampled_from([1, 2, 3, 7, 11, 64, 256, 300])
+EDGE = max(_SMALL_INTS)  # the memo holds -EDGE..EDGE
 
 floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [float("inf"), float("-inf"), float("nan"), -0.0, 0.0]
 )
-ints = st.integers(-(2**70), 2**70) | st.integers(-(2**400), 2**400) | st.just(True)
+ints = (
+    st.integers(-(2**70), 2**70)
+    | st.integers(-(2**400), 2**400)
+    | st.just(True)
+    | st.sampled_from([0, EDGE - 1, EDGE, EDGE + 1, -EDGE + 1, -EDGE, -EDGE - 1, 2**63])
+    | st.integers(-EDGE - 1, EDGE + 1)
+)
 decimal_strings = st.builds(
     lambda man, exp: f"{man}e{exp}", st.integers(-(10**25), 10**25), st.integers(-40, 40)
 )
@@ -120,6 +128,20 @@ def test_comparisons_are_exact(a, b):
     equal = oracle_equal(a, b)
     assert (a == b) is equal and (b == a) is equal
     assert (a != b) is (not equal) and (b != a) is (not equal)
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_every_memoized_int_rounds_as_from_int(bits):
+    # the memo's whole range and one past each end, at precisions that
+    # round some of its ints and at 9 to 12 bits, which round none
+    a = PR(3, bits)
+    for k in range(-EDGE - 1, EDGE + 2):
+        for op, libop in ARITHMETIC:
+            assert outcome(lambda: op(a, k)) == oracle_arithmetic(libop, a, k), (op, k)
+            assert outcome(lambda: op(k, a)) == oracle_arithmetic(libop, k, a), (op, k)
+        for op in ORDERINGS:
+            assert op(a, k) == oracle_ordering(op, a, k), (op, k)
+        assert (a == k) is oracle_equal(a, k), k
 
 
 @settings(max_examples=200, deadline=None)
