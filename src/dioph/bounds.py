@@ -626,6 +626,14 @@ def lefths_solve(
     by more than rhs + 1, and [n, 2 rhs] brackets the root.  (At t = rhs
     the margin is only about n + 1, which rounds away once rhs nears
     2^precision_bits.)
+
+    rhs and the left side are computed with 32 guard bits, and each value
+    of f is rounded once to the working precision.  Rounding 1 + 1/t
+    leaves its n-th power with a relative error near n 2^-bits, and the
+    left side's slope, (1 + 1/t)^n (t - n) / t, vanishes at t = n; so
+    without guard bits a root a few units above n moves by about
+    n t (1 + t) 2^-bits / (t - n): past tol at 64 bits for omega = 10^-2
+    and n = 96..110, whose roots lie 1 to 12 above n.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
@@ -633,14 +641,17 @@ def lefths_solve(
     om = _as_real(omega, bits)
     if om.sign() <= 0:
         raise DomainError("omega must be positive")
+    wide = bits + 32
+    om = PrecisionReal(om, wide)
     rhs = (1 + 1 / om) * (1 + om) ** n
     f = lambda t, rhs=rhs: (1 + t) * (1 + 1 / t) ** n - rhs
+    f_at_bits = lambda t: PrecisionReal(f(PrecisionReal(t, wide)), bits)
 
-    t0 = PrecisionReal(n, bits)
-    if f(t0).sign() >= 0:
+    t0, hi = PrecisionReal(n, bits), PrecisionReal(2 * rhs, bits)
+    if f_at_bits(t0).sign() >= 0:
         return t0  # right side at (or numerically at) the minimum
-    seed = float_root(partial(f, rhs=float(rhs)), t0, 2 * rhs)
-    return find_root(f, t0, 2 * rhs, tol, seed=seed)
+    seed = float_root(partial(f, rhs=float(rhs)), t0, hi)
+    return find_root(f_at_bits, t0, hi, tol, seed=seed)
 
 
 def integer_approx_exponents(

@@ -12,7 +12,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from ..bounds import mm_defect, transfer_dual
 from ..numerics import PrecisionReal, Scalar
 from .intrank import int_rank
-from .profile import ProfileSample, crossing_q, vector_min_point
+from .profile import ProfileSample, crossing_q
 from .vectors import InsufficientData, MinimalPointSequence
 
 __all__ = [
@@ -204,9 +204,9 @@ def intersection_diagnostics(seq: MinimalPointSequence, n: int) -> List[Intersec
     rows: List[IntersectionRow] = []
     for j in range(n, len(pts) - 1):  # paper index k = j + 1
         v, nxt = pts[j], pts[j + 1]
-        q_k = vector_min_point(v, n)[0]
+        q_k = crossing_q(v, v, n)
         r_k = crossing_q(v, nxt, n)
-        q_next = vector_min_point(nxt, n)[0]
+        q_next = crossing_q(nxt, nxt, n)
         s_k = crossing_q(pts[j - n + 1], nxt, n)
         u_k = crossing_q(pts[j - n], v, n)
         p_k = crossing_q(pts[j - n], nxt, n)

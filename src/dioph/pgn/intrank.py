@@ -1,4 +1,7 @@
-"""Exact integer linear algebra: rank via fraction-free elimination.
+"""Exact integer linear algebra: rank via fraction-free elimination, one
+pass per vector over rows that are never rewritten; the greedy choices of
+the profile and the pool's frontier ask only whether each new vector is
+independent of those kept (Edmonds 1971).
 
 Floating point is never used here; independence of approximation vectors is
 an exact lattice statement.
@@ -22,8 +25,10 @@ def _primitive(row: List[int]) -> List[int]:
 class IntBasis:
     """Incrementally grown independent set of integer vectors.
 
-    Rows are kept fully reduced (zeros at every other row's pivot), so each
-    membership test is a single elimination pass with exact arithmetic.
+    Rows are kept in insertion order, each zero at the pivots (first
+    nonzero entries) of the rows before it.  So one elimination pass in
+    that order leaves a vector zero at every pivot, and nonzero exactly
+    when it is independent of the rows.
     """
 
     def __init__(self, dim: int):
@@ -48,16 +53,7 @@ class IntBasis:
         pivot = next((i for i, a in enumerate(v) if a), None)
         if pivot is None:
             return False
-        v = _primitive(v)
-        updated = []
-        for p, row in self._rows:
-            if row[pivot]:
-                c_keep, c_drop = v[pivot], row[pivot]
-                row = _primitive([c_keep * a - c_drop * b for a, b in zip(row, v)])
-            updated.append((p, row))
-        updated.append((pivot, v))
-        updated.sort(key=lambda pr: pr[0])
-        self._rows = updated
+        self._rows.append((pivot, _primitive(v)))
         return True
 
 

@@ -6,8 +6,8 @@ profile value at q is the min-max over independent j-tuples, computed
 exactly by greedy selection in increasing L order (linear independence is
 a matroid, so the greedy selection realizes the min-max).  A vector with
 n + 1 independent vectors at or below it in both x and Y is never chosen,
-so the pool is pruned to the rest once; `undominated_candidates` streams
-that pruning over a target's pool without building the pool.  At a fixed
+so the pool is pruned to the rest once (`vectors._undominated`, the rule
+`vectors.undominated_candidates` streams over a target's pool).  At a fixed
 q the vectors on their falling branch are in log x order and the others
 in log Y order, so `profile` sweeps the grid upward and draws the L order
 as a lazy merge of two lists sorted once, scoring only what it draws.
@@ -18,23 +18,11 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from heapq import heappop, heappush, merge
 from itertools import groupby
-from math import inf
-from operator import attrgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
-
-from mpmath.libmp import mpf_cmp
 
 from ..numerics import PrecisionReal, Scalar
 from .intrank import IntBasis
-from .vectors import (
-    ApproxVector,
-    InsufficientRank,
-    MinimalPointSequence,
-    TargetPoint,
-    _box,
-    _error_vector,
-    _pool_boxes,
-)
+from .vectors import ApproxVector, MinimalPointSequence, _undominated
 
 __all__ = [
     "ProfileSample",
@@ -42,7 +30,6 @@ __all__ = [
     "vector_min_point",
     "crossing_q",
     "profile",
-    "undominated_candidates",
     "minkowski_defect",
     "build_q_grid",
 ]
@@ -77,137 +64,6 @@ def crossing_q(rising: ApproxVector, falling: ApproxVector, n: int) -> Precision
     return n * (falling.log_x - rising.log_Y) / (n + 1)
 
 
-class _Frontier:
-    """The domination rule: the least-Y basis of the vectors offered so
-    far, at most n + 1 independent vectors chosen greedily by Y."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.basis: List[ApproxVector] = []  # increasing Y
-
-    @property
-    def ceiling(self) -> Optional[tuple]:
-        """The raw largest basis Y once the basis has n + 1 members."""
-        return self.basis[-1].Y.raw if len(self.basis) == self.n + 1 else None
-
-    def offer(self, v: ApproxVector) -> bool:
-        """Keep v unless the basis is full and v's Y is at least its
-        largest Y; return whether v was kept."""
-        top = self.ceiling
-        if top is not None and mpf_cmp(v.Y.raw, top) >= 0:
-            return False
-        ints = IntBasis(self.n + 1)
-        by_Y = sorted(self.basis + [v], key=attrgetter("Y"))
-        self.basis = [u for u in by_Y if ints.try_add(u.ints())]
-        return True
-
-
-def _undominated(pool: Sequence[ApproxVector], n: int) -> List[int]:
-    """Indices of the pool vectors that the greedy selection can choose.
-
-    One scan in (x, y, index) order offers each vector to a `_Frontier`.
-    A vector it skips has n + 1 independent vectors before it whose x and Y
-    are no larger, so their L is no larger at every q, and they precede it
-    in the greedy's (L, x, y, index) order.  The selection is therefore
-    complete before it reaches a skipped vector.
-    """
-    frontier = _Frontier(n)
-    order = sorted(range(len(pool)), key=lambda i: (pool[i].x, pool[i].y, i))
-    kept = [i for i in order if frontier.offer(pool[i])]
-    if frontier.ceiling is None:
-        raise InsufficientRank(f"pool spans rank {len(frontier.basis)} < {n + 1}")
-    return kept
-
-
-def _next_near(Xi: int, E: int, bound: int, x: int) -> int:
-    """The least x' > x with |x' X_i - y 2^E| < bound for some integer y,
-    for 1 <= bound <= 2^(E-1); one exists, as every multiple of 2^E has
-    error 0.
-
-    With m = 2^E, a = X_i mod m and x' = x + 1 + t, that is the least
-    t >= 0 with a t mod m in a window [lo, hi] of 2 bound - 1 residues.
-    Unless a multiple of a lies in it, write a t = m s + u with u in the
-    window: the least s has m s mod a in [-hi mod a, -lo mod a], the same
-    problem on (m mod a, a), and t = ceil((lo + m s) / a).  The moduli
-    fall as in Euclid's algorithm and the window keeps its width, so the
-    descent stops once a modulus is no wider than the window.  Each
-    problem has a solution, so an a that divides m has a multiple in the
-    window, and no modulus reached is 0.
-    """
-    m = 1 << E
-    a = Xi % m
-    lo = -(a * (x + 1) + bound - 1) % m
-    hi = lo + 2 * bound - 2
-    t = 0
-    levels = []
-    while lo and hi < m:  # 0 is not in the window
-        t = -(-lo // a)
-        if a * t <= hi:
-            break
-        levels.append((a, m, lo))
-        a, m, lo, hi = m % a, a, -hi % a, -lo % a
-    for a, m, lo in reversed(levels):
-        t = -(-(lo + m * t) // a)
-    return x + 1 + t
-
-
-def undominated_candidates(
-    target: TargetPoint, x_max: int, widen: int = 0
-) -> Tuple[List[ApproxVector], int]:
-    """(kept, size): the vectors of ``enumerate_candidates(target, x_max,
-    widen)`` that `_undominated` keeps, in (x, y) order, and the size of
-    that pool, which is never built.
-
-    The boxes of `_pool_boxes` are offered to a `_Frontier` in the pool's
-    order, and their exact error numerators D over 2^E become vectors only
-    where the frontier may keep them.  Every Y is an integer over 2^E
-    rounded to p bits, so it is itself an integer over 2^E; an error at or
-    above the largest basis Y rounds (monotonely) to a Y at least as large,
-    so it is dominated, and a box whose smallest numerator is that large is
-    skipped whole.  Every other error is rounded once and offered like any
-    pool vector, so ties fall as in `_undominated`; the records of the pool
-    are all kept, since no earlier vector has a Y as small.  Raises
-    RationalDependence at the pool's first zero error.
-
-    Once that bound B is at most 2^(E-1), a box x with a coordinate at
-    |D_i| >= B is followed by box `_next_near`(X_i, E, B, x): every box
-    between has |D_i| >= B too, so it would be skipped, and B cannot fall
-    before a box is listed.  A zero error has every |D_i| = 0 < B, so it
-    is never jumped over.
-    """
-    p, n = target.precision_bits, target.n
-    X, E = target.scaled()
-    half = (1 << E) >> 1
-    per = (2 * widen + 1) ** n
-    size = n + x_max * per
-    frontier = _Frontier(n)
-    kept: List[ApproxVector] = []
-    bound = inf  # the largest basis Y times 2^E once the basis is full
-    boxes = _pool_boxes(target, x_max, widen)
-    box = next(boxes)
-    while box:
-        x, Ds, count, entries = box
-        if x == 1:
-            size += count - per  # (1, 0, ..., 0) merged into the x = 1 box
-        if max(map(abs, Ds)) < bound:
-            for y, D in entries():
-                if D >= bound:
-                    continue
-                v = _error_vector(x, y, D, E, p)
-                if frontier.offer(v):
-                    kept.append(v)
-                    if frontier.ceiling is not None:
-                        _, man, exp, _ = frontier.ceiling
-                        bound = man << (exp + E)
-        if bound > half:  # no window to jump to yet: walk every x
-            box = next(boxes, None)
-            continue
-        far = next((i for i, D in enumerate(Ds) if abs(D) >= bound), None)
-        x = x + 1 if far is None else _next_near(X[far], E, bound, x)
-        box = x <= x_max and (x, *_box(X, E, widen, x))
-    return kept, size
-
-
 def _ascending(entries: Sequence[Tuple[PrecisionReal, int]], key) -> Iterator[Tuple[PrecisionReal, int]]:
     """(key(value), rank) for entries in (value, rank) order, key
     nondecreasing: ascending, a run of equal keys by rank; each key is
@@ -239,9 +95,9 @@ def profile(
     The grid is swept upward.  The kept vectors start on a falling list in
     (log x, rank) order, rank being the (x, y, index) order, and each
     moves once to a rising list in (log Y, rank) order, at the first q at
-    or above its q_v (`vector_min_point`).  At each q the lists are merged
-    lazily on their branch values log x - q and log Y + q/n, a run of
-    equal rounded values by rank, until n + 1 independent vectors are
+    or above its q_v, ``crossing_q(v, v, n)``.  At each q the lists are
+    merged lazily on their branch values log x - q and log Y + q/n, a run
+    of equal rounded values by rank, until n + 1 independent vectors are
     chosen; only drawn vectors are scored by `vector_L`.  A branch value
     is at most L; where rounding near q_v puts L on the other branch, the
     vector is held back until its L comes up, so the order is exact.
@@ -251,7 +107,7 @@ def profile(
     vecs = [pool[i] for i in kept]
     falling = sorted((v.log_x, r) for r, v in enumerate(vecs))
     rising: List[Tuple[PrecisionReal, int]] = []
-    moves = sorted(((vector_min_point(v, n)[0], r) for r, v in enumerate(vecs)), reverse=True)
+    moves = sorted(((crossing_q(v, v, n), r) for r, v in enumerate(vecs)), reverse=True)
 
     samples: List[ProfileSample] = []
     prev: Optional[PrecisionReal] = None
@@ -327,7 +183,7 @@ def build_q_grid(
         raise ValueError("q_min must be below q_max")
     points = [lo + (hi - lo) * i / count for i in range(count + 1)]
     for k, v in enumerate(seq.points):
-        points.append(vector_min_point(v, n)[0])
+        points.append(crossing_q(v, v, n))
         if k + 1 < len(seq.points):
             points.append(crossing_q(v, seq.points[k + 1], n))
     kept = sorted(p for p in points if lo <= p <= hi)

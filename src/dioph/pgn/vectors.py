@@ -1,14 +1,20 @@
-"""Target points, integer approximation vectors, and minimal-point records."""
+"""Target points, integer approximation vectors, the candidate pool, and
+minimal-point records.  `enumerate_candidates` lists the pool box by box
+(`_box`); `undominated_candidates` walks the same boxes, keeps what the
+domination rule (`_Frontier`) lets through and jumps over the boxes it
+would skip (`_next_near`)."""
 
 from __future__ import annotations
 
 from itertools import groupby, product
+from math import inf
 from operator import attrgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath.libmp import from_man_exp, mpf_cmp
 
 from ..numerics import DEFAULT_PRECISION_BITS, RND, PrecisionReal, Scalar, _positive_bits, log
+from .intrank import IntBasis
 
 __all__ = [
     "PgnError",
@@ -19,6 +25,7 @@ __all__ = [
     "ApproxVector",
     "MinimalPointSequence",
     "enumerate_candidates",
+    "undominated_candidates",
     "minimal_points",
 ]
 
@@ -221,38 +228,158 @@ def _box(X: Sequence[int], E: int, widen: int, x: int) -> tuple:
     return Ds, size, entries
 
 
-def _pool_boxes(target: TargetPoint, x_max: int, widen: int) -> Iterator[tuple]:
-    """The candidate pool as boxes (x, Ds, size, entries) in (x, y) order:
-    each unit-type vector (0, e_i), then `_box` x for x = 1, ..., x_max.
-    entries() lists the (y, D) pairs in y order, the errors being D / 2^E
-    (`TargetPoint.scaled`); like a `groupby` group it is valid only until
-    the next box is drawn.
-    """
+def _units(target: TargetPoint, x_max: int, widen: int) -> List[ApproxVector]:
+    """The unit-type vectors (0, e_i) in y order, which open the pool, each
+    with error 1; rejects an x_max or widen that no pool has."""
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
     if widen < 0:
         raise ValueError("widen must be >= 0")
-    n = target.n
-    X, E = target.scaled()
-    one = 1 << E
-    for i in reversed(range(n)):
-        yield 0, [one], 1, [(tuple(int(j == i) for j in range(n)), one)].__iter__
-    for x in range(1, x_max + 1):
-        yield (x, *_box(X, E, widen, x))
+    n, E = target.n, target.scaled()[1]
+    e = [tuple(int(j == i) for j in range(n)) for i in reversed(range(n))]
+    return [_error_vector(0, y, 1 << E, E, target.precision_bits) for y in e]
 
 
 def enumerate_candidates(target: TargetPoint, x_max: int, widen: int = 0) -> List[ApproxVector]:
-    """Candidate pool: per x the nearest-integer vector plus a +-widen box
-    around it, together with the n+1 unit-type support vectors; deduplicated
-    and ordered by (x, y) (see `_pool_boxes`).
+    """Candidate pool: the n unit-type support vectors, then per x = 1, ...,
+    x_max the nearest-integer vector plus a +-widen box around it (`_box`),
+    with (1, 0, ..., 0) merged into the x = 1 box; ordered by (x, y).
 
     Every error is an exact integer over 2^E (see `TargetPoint.scaled`),
     rounded once to the working precision.  Raises RationalDependence as
     soon as any error is exactly zero.
     """
-    p, E = target.precision_bits, target.scaled()[1]
-    boxes = _pool_boxes(target, x_max, widen)
-    return [_error_vector(x, y, D, E, p) for x, _, _, entries in boxes for y, D in entries()]
+    pool = _units(target, x_max, widen)
+    p, (X, E) = target.precision_bits, target.scaled()
+    for x in range(1, x_max + 1):
+        pool += [_error_vector(x, y, D, E, p) for y, D in _box(X, E, widen, x)[2]()]
+    return pool
+
+
+class _Frontier:
+    """The domination rule: the least-Y basis of the vectors offered so
+    far, at most n + 1 independent vectors chosen greedily by Y."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.basis: List[ApproxVector] = []  # increasing Y
+
+    @property
+    def ceiling(self) -> Optional[tuple]:
+        """The raw largest basis Y once the basis has n + 1 members."""
+        return self.basis[-1].Y.raw if len(self.basis) == self.n + 1 else None
+
+    def offer(self, v: ApproxVector) -> bool:
+        """Keep v unless the basis is full and v's Y is at least its
+        largest Y; return whether v was kept."""
+        top = self.ceiling
+        if top is not None and mpf_cmp(v.Y.raw, top) >= 0:
+            return False
+        ints = IntBasis(self.n + 1)
+        by_Y = sorted(self.basis + [v], key=attrgetter("Y"))
+        self.basis = [u for u in by_Y if ints.try_add(u.ints())]
+        return True
+
+
+def _undominated(pool: Sequence[ApproxVector], n: int) -> List[int]:
+    """Indices of the pool vectors that the profile's greedy selection can choose.
+
+    One scan in (x, y, index) order offers each vector to a `_Frontier`.
+    A vector it skips has n + 1 independent vectors before it whose x and Y
+    are no larger, so their L is no larger at every q, and they precede it
+    in the greedy's (L, x, y, index) order.  The selection is therefore
+    complete before it reaches a skipped vector.
+    """
+    frontier = _Frontier(n)
+    order = sorted(range(len(pool)), key=lambda i: (pool[i].x, pool[i].y, i))
+    kept = [i for i in order if frontier.offer(pool[i])]
+    if frontier.ceiling is None:
+        raise InsufficientRank(f"pool spans rank {len(frontier.basis)} < {n + 1}")
+    return kept
+
+
+def _next_near(Xi: int, E: int, bound: int, x: int) -> int:
+    """The least x' > x with |x' X_i - y 2^E| < bound for some integer y,
+    for 1 <= bound <= 2^(E-1); one exists, as every multiple of 2^E has
+    error 0.
+
+    With m = 2^E, a = X_i mod m and x' = x + 1 + t, that is the least
+    t >= 0 with a t mod m in a window [lo, hi] of 2 bound - 1 residues.
+    Unless a multiple of a lies in it, write a t = m s + u with u in the
+    window: the least s has m s mod a in [-hi mod a, -lo mod a], the same
+    problem on (m mod a, a), and t = ceil((lo + m s) / a).  The moduli
+    fall as in Euclid's algorithm and the window keeps its width, so the
+    descent stops once a modulus is no wider than the window.  Each
+    problem has a solution, so an a that divides m has a multiple in the
+    window, and no modulus reached is 0.
+    """
+    m = 1 << E
+    a = Xi % m
+    lo = -(a * (x + 1) + bound - 1) % m
+    hi = lo + 2 * bound - 2
+    t = 0
+    levels = []
+    while lo and hi < m:  # 0 is not in the window
+        t = -(-lo // a)
+        if a * t <= hi:
+            break
+        levels.append((a, m, lo))
+        a, m, lo, hi = m % a, a, -hi % a, -lo % a
+    for a, m, lo in reversed(levels):
+        t = -(-(lo + m * t) // a)
+    return x + 1 + t
+
+
+def undominated_candidates(
+    target: TargetPoint, x_max: int, widen: int = 0
+) -> Tuple[List[ApproxVector], int]:
+    """(kept, size): the vectors of ``enumerate_candidates(target, x_max,
+    widen)`` that `_undominated` keeps, in (x, y) order, and the size of
+    that pool, which is never built.
+
+    The unit-type vectors and then the boxes x = 1, 2, ... are offered to
+    a `_Frontier` in the pool's order, and the boxes' exact error
+    numerators D over 2^E become vectors only where the frontier may keep
+    them.  Every Y is an integer over 2^E rounded to p bits, so it is
+    itself an integer over 2^E; an error at or above the largest basis Y
+    rounds (monotonely) to a Y at least as large, so it is dominated, and
+    a box whose smallest numerator is that large is skipped whole.  Every
+    other error is rounded once and offered like any pool vector, so ties
+    fall as in `_undominated`; the records of the pool are all kept, since
+    no earlier vector has a Y as small.  Raises RationalDependence at the
+    pool's first zero error.
+
+    Once that bound B is at most 2^(E-1), a box x with a coordinate at
+    |D_i| >= B is followed by box `_next_near`(X_i, E, B, x): every box
+    between has |D_i| >= B too, so it would be skipped, and B cannot fall
+    before a box is listed.  A zero error has every |D_i| = 0 < B, so it
+    is never jumped over.
+    """
+    p, n, (X, E) = target.precision_bits, target.n, target.scaled()
+    half = (1 << E) >> 1
+    per = (2 * widen + 1) ** n
+    size = n + x_max * per
+    frontier = _Frontier(n)
+    kept = [v for v in _units(target, x_max, widen) if frontier.offer(v)]
+    bound = inf  # the largest basis Y times 2^E once the basis is full
+    x = 1
+    while x <= x_max:
+        Ds, count, entries = _box(X, E, widen, x)
+        size += count - per  # one more at x = 1 if (1, 0, ..., 0) is merged
+        if max(map(abs, Ds)) < bound:
+            for y, D in entries():
+                if D >= bound:
+                    continue
+                v = _error_vector(x, y, D, E, p)
+                if frontier.offer(v):
+                    kept.append(v)
+                    if frontier.ceiling is not None:
+                        _, man, exp, _ = frontier.ceiling
+                        bound = man << (exp + E)
+        # a far coordinate has a window to jump to once B <= 2^(E-1)
+        far = next((i for i, D in enumerate(Ds) if bound <= half and abs(D) >= bound), None)
+        x = x + 1 if far is None else _next_near(X[far], E, bound, x)
+    return kept, size
 
 
 def minimal_points(candidates: Iterable[ApproxVector]) -> MinimalPointSequence:

@@ -8,7 +8,7 @@ from mpmath.libmp import from_int, from_rational, mpf_mul, to_int
 
 from dioph import pgn
 from dioph.numerics import RND, PrecisionReal, e_value, golden_value, sqrt2_value
-from dioph.suites import box_enumerate, box_records
+from dioph.suites import box_enumerate, box_records, fraction_rank
 
 PR = PrecisionReal
 
@@ -313,10 +313,6 @@ class TestIntRank:
         assert pgn.int_rank(rows) == 1
 
     def test_agrees_with_fraction_oracle(self):
-        import random
-
-        from dioph.suites import fraction_rank
-
         rng = random.Random(99)
         for _ in range(100):
             dim = rng.randint(1, 5)
@@ -325,3 +321,35 @@ class TestIntRank:
                 for _ in range(rng.randint(1, 6))
             ]
             assert pgn.int_rank(rows) == fraction_rank(rows)
+
+
+@st.composite
+def row_sequences(draw):
+    """(dim, rows): rows that are free, zero, or integer combinations of the
+    rows before them, so that dependent rows are common."""
+    dim = draw(st.integers(1, 5))
+    small = st.integers(-3, 3)
+    huge = st.integers(-(10**30), 10**30)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["free", "zero", "combination"] if rows else ["free", "zero"]))
+        if kind == "free":
+            rows.append(draw(st.lists(small | huge, min_size=dim, max_size=dim)))
+        elif kind == "zero":
+            rows.append([0] * dim)
+        else:
+            coeffs = draw(st.lists(small | huge, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(dim)])
+    return dim, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=row_sequences())
+def test_each_try_add_answer_matches_the_fraction_rank(case):
+    # try_add reports independence of each row from the rows before it
+    dim, rows = case
+    basis = pgn.IntBasis(dim)
+    for k, row in enumerate(rows):
+        rank = fraction_rank(rows[: k + 1])
+        assert basis.try_add(row) == (rank > fraction_rank(rows[:k]))
+        assert basis.count == rank
