@@ -1,8 +1,10 @@
 """Command-line front end: constants tables, dual-bound evaluation,
 simulation runs, and verification suites.
 
-Exit codes: 0 success, 2 usage, 3 domain/hypothesis violations, 4 numeric
-failures.  Identical inputs and configuration produce byte-identical output.
+Exit codes: 0 success, 1 a failed `verify` check, 2 usage, 3
+domain/hypothesis violations, 4 numeric failures, 141 stdout closed by its
+reader (128 + SIGPIPE, what a shell reports for a writer a closed pipe
+ends).  Identical inputs and configuration produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ POOL_CAP = 3 * 10**6
 EXIT_OK = 0
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _precision_bits(text: str) -> int:
@@ -324,7 +327,15 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         except argparse.ArgumentTypeError as ex:
             parser.error(f"DIOPH_PRECISION_BITS: {ex}")
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()  # a reader that closed the pipe is seen here, not at exit
+        return code
+    except BrokenPipeError:  # `dioph ... | head -1`: end quietly
+        if out is sys.stdout:  # so that the flush at interpreter exit writes nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (bd.DomainError, bd.HypothesisViolated, bd.NotRegularGraph, bd.DegenerateContext) as ex:
         print(dump_json({"error": type(ex).__name__, "message": str(ex)}), file=out)
         return EXIT_DOMAIN

@@ -480,6 +480,24 @@ class TestSubprocessEntry:
         code, out, err = run_subprocess("--precision-bits", "32", "bounds", "--n", "2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("bounds", "--n", "2..300"), ("verify", "corollary")], ids=["bounds", "verify"]
+    )
+    def test_closed_stdout_ends_quietly(self, argv):
+        # the reader is gone before the first write, as `| head -1` leaves a
+        # long output: no traceback, and not exit 1, a failed check
+        import os
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dioph", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
 
 class TestPrecisionBits:
     def test_flag_wins_over_an_invalid_environment_value(self, monkeypatch):

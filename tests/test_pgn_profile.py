@@ -243,8 +243,9 @@ class TestMergeTies:
         assert (sample.L, sample.witnesses) == full_pool_greedy(pool, q, n)
 
     def test_vector_L_calls_per_q(self, monkeypatch):
-        # the merge scores the vectors it draws, not all 51 kept vectors at
-        # each of the 218 grid points (11,118 calls before)
+        # exact L is taken for the 3 picks at each of the 218 grid points and
+        # for the near-ties the doubles cannot order, not for all 51 kept
+        # vectors at each q (11,118 calls before) nor for every drawn one (822)
         profile_module = sys.modules["dioph.pgn.profile"]
         calls = 0
         exact = profile_module.vector_L
@@ -259,7 +260,8 @@ class TestMergeTies:
         kept, _ = pgn.undominated_candidates(t, 10**4, widen=1)
         grid = pgn.build_q_grid(pgn.minimal_points(kept), 2, nlog(PR(10**4)))
         pgn.profile(kept, grid, 2)
-        assert (len(kept), len(grid), calls) == (51, 218, 822)
+        assert (len(kept), len(grid), calls) == (51, 218, 662)
+        assert calls >= 3 * len(grid)
 
 
 @st.composite
