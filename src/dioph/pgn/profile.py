@@ -4,10 +4,10 @@ Each candidate induces the piecewise-linear function
 L_x(q) = max(log x - q, log Y + q/n) with slopes -1 and 1/n; the j-th
 profile value at q is the min-max over independent j-tuples, computed
 exactly by greedy selection in increasing L order (linear independence is
-a matroid, so the greedy selection realizes the min-max).  A vector with
-n + 1 independent vectors at or below it in both x and Y is never chosen,
-so the pool is pruned to the rest once (`vectors._undominated`, the rule
-`vectors.undominated_candidates` streams over a target's pool).  At a fixed
+a matroid, so the greedy selection realizes the min-max).  A vector in
+the span of the vectors before it in (x, y) order with Y no larger is never
+chosen, so the pool is pruned once (`vectors._undominated` proves it;
+`vectors.undominated_candidates` streams it over a target's pool).  At a fixed
 q the vectors on their falling branch are in log x order and the others
 in log Y order, so `profile` sweeps the grid upward and draws the L order
 as a lazy merge of two lists sorted once.  The merge runs on doubles with
@@ -109,8 +109,8 @@ def profile(
 ) -> List[ProfileSample]:
     """Exact min-max profile over the pool at each grid parameter.
 
-    The vectors that some n + 1 independent earlier vectors dominate in x
-    and Y are dropped once (`_undominated`); at every q the rest are
+    The vectors the greedy can never choose are dropped once
+    (`_undominated`, which proves the rule); at every q the rest are
     selected greedily in (L, x, y, index) order, L at the working
     precision, so witnesses index the caller's pool.  Dropping is exact
     when log_x and log_Y are nondecreasing in x and Y, as for every pool

@@ -1,8 +1,8 @@
 """Target points, integer approximation vectors, the candidate pool, and
 minimal-point records.  `enumerate_candidates` lists the pool box by box
 (`_box`); `undominated_candidates` walks the same boxes, keeps what the
-domination rule (`_Frontier`) lets through and jumps over the boxes it
-would skip (`_next_near`)."""
+pruning rule (`_Frontier`) keeps and jumps over the boxes it would skip
+(`_next_near`)."""
 
 from __future__ import annotations
 
@@ -257,8 +257,9 @@ def enumerate_candidates(target: TargetPoint, x_max: int, widen: int = 0) -> Lis
 
 
 class _Frontier:
-    """The domination rule: the least-Y basis of the vectors offered so
-    far, at most n + 1 independent vectors chosen greedily by Y."""
+    """The pruning rule: the least-Y basis of the vectors offered so far,
+    at most n + 1 independent vectors chosen greedily by Y, and a vector
+    is kept iff it joins that basis (proved at `_undominated`)."""
 
     def __init__(self, n: int):
         self.n = n
@@ -270,25 +271,27 @@ class _Frontier:
         return self.basis[-1].Y.raw if len(self.basis) == self.n + 1 else None
 
     def offer(self, v: ApproxVector) -> bool:
-        """Keep v unless the basis is full and v's Y is at least its
-        largest Y; return whether v was kept."""
+        """Rebuild the basis with v and return whether v joined it; a full
+        basis spans every vector, so v joins it only below its largest Y."""
         top = self.ceiling
         if top is not None and mpf_cmp(v.Y.raw, top) >= 0:
             return False
         ints = IntBasis(self.n + 1)
         by_Y = sorted(self.basis + [v], key=attrgetter("Y"))
         self.basis = [u for u in by_Y if ints.try_add(u.ints())]
-        return True
+        return v in self.basis  # by identity
 
 
 def _undominated(pool: Sequence[ApproxVector], n: int) -> List[int]:
     """Indices of the pool vectors that the profile's greedy selection can choose.
 
     One scan in (x, y, index) order offers each vector to a `_Frontier`.
-    A vector it skips has n + 1 independent vectors before it whose x and Y
-    are no larger, so their L is no larger at every q, and they precede it
-    in the greedy's (L, x, y, index) order.  The selection is therefore
-    complete before it reaches a skipped vector.
+    It drops v, leaving the basis as it was, iff v lies in the span of the
+    basis members with Y no larger, which span every earlier vector with
+    Y that small.  When log x and log Y are nondecreasing in x and Y,
+    those have L no larger at every q and precede v in the greedy's
+    (L, x, y, index) order, so the matroid greedy (Edmonds 1971) spans
+    them before it reaches v.  On the vectors it keeps, the scan keeps all.
     """
     frontier = _Frontier(n)
     order = sorted(range(len(pool)), key=lambda i: (pool[i].x, pool[i].y, i))
@@ -341,13 +344,13 @@ def undominated_candidates(
     a `_Frontier` in the pool's order, and the boxes' exact error
     numerators D over 2^E become vectors only where the frontier may keep
     them.  Every Y is an integer over 2^E rounded to p bits, so it is
-    itself an integer over 2^E; an error at or above the largest basis Y
-    rounds (monotonely) to a Y at least as large, so it is dominated, and
-    a box whose smallest numerator is that large is skipped whole.  Every
-    other error is rounded once and offered like any pool vector, so ties
-    fall as in `_undominated`; the records of the pool are all kept, since
-    no earlier vector has a Y as small.  Raises RationalDependence at the
-    pool's first zero error.
+    itself an integer over 2^E; an error at or above a full basis's
+    largest Y rounds (monotonely) to a Y at least as large, so it is
+    dropped, and a box whose smallest numerator is that large is skipped
+    whole.  Every other error is rounded once and offered like any pool
+    vector, so ties fall as in `_undominated`; the records of the pool are
+    all kept, since no earlier vector has a Y as small.  Raises
+    RationalDependence at the pool's first zero error.
 
     Once that bound B is at most 2^(E-1), a box x with a coordinate at
     |D_i| >= B is followed by box `_next_near`(X_i, E, B, x): every box

@@ -1,4 +1,5 @@
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -244,8 +245,9 @@ class TestMergeTies:
 
     def test_vector_L_calls_per_q(self, monkeypatch):
         # exact L is taken for the 3 picks at each of the 218 grid points and
-        # for the near-ties the doubles cannot order, not for all 51 kept
-        # vectors at each q (11,118 calls before) nor for every drawn one (822)
+        # for the near-ties the doubles cannot order, not for every kept
+        # vector at each q (11,118 calls when 51 were kept) nor for every
+        # drawn one (822)
         profile_module = sys.modules["dioph.pgn.profile"]
         calls = 0
         exact = profile_module.vector_L
@@ -260,7 +262,7 @@ class TestMergeTies:
         kept, _ = pgn.undominated_candidates(t, 10**4, widen=1)
         grid = pgn.build_q_grid(pgn.minimal_points(kept), 2, nlog(PR(10**4)))
         pgn.profile(kept, grid, 2)
-        assert (len(kept), len(grid), calls) == (51, 218, 662)
+        assert (len(kept), len(grid), calls) == (40, 218, 662)
         assert calls >= 3 * len(grid)
 
 
@@ -292,6 +294,106 @@ def test_shuffled_pool_matches_full_pool_greedy(case, grid):
         return
     for s in pgn.profile(pool, qs, n):
         assert (s.L, s.witnesses) == full_pool_greedy(pool, s.q, n)
+
+
+class CeilingFrontier:
+    """The reference prune: `vectors._Frontier` before the span rule, which
+    dropped a vector only when the basis was full and the vector's Y was
+    at least its largest Y."""
+
+    def __init__(self, n):
+        self.n = n
+        self.basis = []
+
+    def offer(self, v):
+        if len(self.basis) == self.n + 1 and v.Y >= self.basis[-1].Y:
+            return False
+        ints = pgn.IntBasis(self.n + 1)
+        by_Y = sorted(self.basis + [v], key=lambda u: u.Y)
+        self.basis = [u for u in by_Y if ints.try_add(u.ints())]
+        return True
+
+
+def stream_order(pool):
+    return sorted(range(len(pool)), key=lambda i: (pool[i].x, pool[i].y, i))
+
+
+def ceiling_undominated(pool, n):
+    frontier = CeilingFrontier(n)
+    return [i for i in stream_order(pool) if frontier.offer(pool[i])]
+
+
+def span_dropped(pool, n):
+    """The span rule by its statement: the indices of the vectors that lie
+    in the span of the vectors before them in (x, y, index) order with Y
+    no larger."""
+    order = stream_order(pool)
+    dropped = []
+    for k, i in enumerate(order):
+        below = [pool[j].ints() for j in order[:k] if pool[j].Y <= pool[i].Y]
+        if pgn.int_rank(below + [pool[i].ints()]) == pgn.int_rank(below):
+            dropped.append(i)
+    return dropped
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=tied_pools(),
+    grid=st.lists(st.integers(-16, 24), min_size=1, max_size=4, unique=True),
+)
+def test_span_rule_keeps_a_subset_with_the_ceiling_rules_profile(case, grid):
+    n, pool = case
+    if pgn.int_rank(v.ints() for v in pool) < n + 1:
+        return
+    span, ceiling = _undominated(pool, n), ceiling_undominated(pool, n)
+    assert sorted(set(range(len(pool))) - set(span)) == sorted(span_dropped(pool, n))
+    assert set(span) <= set(ceiling)
+    # the profile over the ceiling rule's vectors, pruned by that rule alone
+    qs = [PR(g) / 4 for g in sorted(grid)]
+    by_span = pgn.profile([pool[i] for i in span], qs, n)
+    with mock.patch.object(sys.modules["dioph.pgn.profile"], "_undominated", ceiling_undominated):
+        by_ceiling = pgn.profile([pool[i] for i in ceiling], qs, n)
+    for a, b in zip(by_span, by_ceiling):
+        assert a.L == b.L
+        assert [span[i] for i in a.witnesses] == [ceiling[i] for i in b.witnesses]
+
+
+class TestSpanRule:
+    def test_drops_a_vector_in_the_span_of_a_partial_basis(self):
+        # (3, 2, 1) = (1, 1, 0) + (2, 1, 1), both with smaller Y, while the
+        # basis has two members: no full basis exists yet to drop it by
+        a, b, v, c = (
+            pgn.ApproxVector(x, y, PR(k) / 8, 256)
+            for x, y, k in [(1, (1, 0), 1), (2, (1, 1), 2), (3, (2, 1), 3), (5, (3, 1), 4)]
+        )
+        assert _undominated([a, b, v, c], 2) == [0, 1, 3]
+        assert ceiling_undominated([a, b, v, c], 2) == [0, 1, 2, 3]
+        grid = [PR(g) / 4 for g in range(-8, 12)]
+        for s in pgn.profile([a, b, v, c], grid, 2):
+            assert (s.L, s.witnesses) == full_pool_greedy([a, b, v, c], s.q, 2)
+
+    def test_keeps_a_vector_below_part_of_its_span(self):
+        # the same sum, but (2, 1, 1) has a larger Y: (3, 2, 1) joins the
+        # least-Y basis in its place
+        a, b, v, c = (
+            pgn.ApproxVector(x, y, PR(k) / 8, 256)
+            for x, y, k in [(1, (1, 0), 1), (2, (1, 1), 4), (3, (2, 1), 3), (5, (3, 1), 5)]
+        )
+        assert _undominated([a, b, v, c], 2) == [0, 1, 2, 3]
+
+    def test_near_rational_target(self):
+        # xi_1 = 1e-6 puts a third of the pool in the plane y_1 = 0, which
+        # holds two independent vectors, so a full basis waits for one off
+        # it with Y near 1; the full-basis rule alone keeps 903
+        t = pgn.TargetPoint.explicit(["0.000001", "0.70710678118654752440084436"])
+        pool = pgn.enumerate_candidates(t, 300, widen=1)
+        kept = _undominated(pool, 2)
+        assert (len(kept), len(pool)) == (317, 2702)
+        assert len(ceiling_undominated(pool, 2)) == 903
+        assert stream_outcome(t, 300, 1) == pool_outcome(t, 300, 1)
+        seq = pgn.minimal_points(pool)
+        for s in pgn.profile(pool, pgn.build_q_grid(seq, 2, nlog(PR(300)), count=6), 2):
+            assert (s.L, s.witnesses) == full_pool_greedy(pool, s.q, 2)
 
 
 def vector_keys(vectors):
@@ -345,7 +447,12 @@ def test_stream_matches_the_pool(coords, widen, x_max, bits):
     # pool; x_max is cut so that no pool exceeds 2,000 vectors
     target = pgn.TargetPoint.explicit(coords, bits)
     x_max = max(1, min(x_max, 2000 // (2 * widen + 1) ** target.n))
-    assert stream_outcome(target, x_max, widen) == pool_outcome(target, x_max, widen)
+    got = stream_outcome(target, x_max, widen)
+    assert got == pool_outcome(target, x_max, widen)
+    if not isinstance(got, str):
+        # profile prunes the stream's output again and must keep all of it
+        kept = pgn.undominated_candidates(target, x_max, widen)[0]
+        assert _undominated(kept, target.n) == list(range(len(kept)))
 
 
 def brute_next_near(Xi, E, bound, x):
