@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from . import bounds as bd
 from . import pgn
@@ -28,6 +28,7 @@ from .numerics import (
 from .pgn.io import (
     dump_json,
     estimates_to_dict,
+    record_to_dict,
     theorem_report_to_dict,
     write_diagnostics_csv,
     write_profile_csv,
@@ -42,6 +43,14 @@ SUITE_NAMES = ("constants", "corollary", "monotonicity", "oracle", "profile")
 
 # candidate-pool cap, xmax * (2 widen + 1)^n: the pool at n = 1, widen 1, xmax 10^6
 POOL_CAP = 3 * 10**6
+
+# --grid-points cap: veronese:e at n = 2, xmax 2000 takes about 0.13 ms and 1 KB
+# per grid point (2,000 points: 0.32 s, 21 MB max RSS; 20,000: 2.56 s, 41 MB),
+# so 10^5 points cost about 13 s and 100 MB there, and more at larger n
+GRID_CAP = 10**5
+
+# the constants table's keys, one per bounds.ConstantsReport field, in order
+BOUNDS_KEYS = ("n", "tau", "sigma", "w_aux", "mu", "regular_graph_bound", "chi", "laurent")
 
 EXIT_OK = 0
 EXIT_DOMAIN = 3
@@ -60,15 +69,26 @@ def _precision_bits(text: str) -> int:
     return bits
 
 
-def _positive_tol(text: str) -> str:
-    """A --tol value, kept as text so each solve reads it at its own precision."""
-    try:
-        tol = PrecisionReal(text, 64)
-    except ValueError:
-        tol = None
-    if tol is None or not tol.is_finite or tol.sign() <= 0:
-        raise argparse.ArgumentTypeError("tol must parse as a positive real")
-    return text
+def _real_flag(accept: Callable[[PrecisionReal], bool], message: str) -> Callable[[str], str]:
+    """An argparse type for a real that accept passes, kept as text so each
+    use reads it at its own precision."""
+
+    def parse(text: str) -> str:
+        try:
+            ok = accept(PrecisionReal(text, 64))
+        except (ValueError, ZeroDivisionError):  # "abc", "1/0"
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(message)
+        return text
+
+    return parse
+
+
+_positive_tol = _real_flag(lambda r: r.is_finite and r.sign() > 0, "tol must parse as a positive real")
+_finite_real = _real_flag(lambda r: r.is_finite, "must parse as a finite real")  # --qmin, --qmax
+# --alpha, --beta: NaN and inf reach the solvers, which refuse them with exit 3
+_real = _real_flag(lambda r: True, "must parse as a real")
 
 
 def _parse_n_range(spec: str, even_only: bool) -> List[int]:
@@ -88,80 +108,39 @@ def _parse_n_range(spec: str, even_only: bool) -> List[int]:
     return ns
 
 
-def _fmt_opt(v: Optional[PrecisionReal]) -> Optional[str]:
-    return None if v is None else format_real(v)
-
-
-def _report_row(rep: bd.ConstantsReport) -> dict:
-    return {
-        "n": rep.n,
-        "tau": _fmt_opt(rep.tau_n),
-        "sigma": _fmt_opt(rep.sigma_n),
-        "w_aux": _fmt_opt(rep.w_n_aux),
-        "mu": _fmt_opt(rep.mu_n),
-        "regular_graph_bound": _fmt_opt(rep.regular_graph_bound),
-        "chi": _fmt_opt(rep.chi_estimate),
-        "laurent": _fmt_opt(rep.laurent_bound),
-    }
+def _cell(value) -> str:
+    """A text or CSV cell of the constants table: n/a where a constant is not defined."""
+    return "n/a" if value is None else str(value)
 
 
 def _cmd_bounds(args, out) -> int:
     ns = _parse_n_range(args.n, args.even)
     bits, tol = args.precision_bits, args.tol
-    theta = bd.theta(bits, tol)
-    reports = [bd.constants_report(n, bits, tol) for n in ns]
-    rows = [_report_row(r) for r in reports]
-    theta_str = format_real(theta)
+    theta = format_real(bd.theta(bits, tol))
+    rows = [record_to_dict(bd.constants_report(n, bits, tol), BOUNDS_KEYS) for n in ns]
     if args.output_format == "json":
-        print(dump_json({"theta": theta_str}), file=out)
+        print(dump_json({"theta": theta}), file=out)
         for row in rows:
             print(dump_json(row), file=out)
     elif args.output_format == "csv":
-        cols = ["n", "tau", "sigma", "w_aux", "mu", "regular_graph_bound", "chi", "laurent", "theta"]
-        print(",".join(cols), file=out)
+        print(",".join(BOUNDS_KEYS + ("theta",)), file=out)
         for row in rows:
-            cells = [str(row["n"])] + [row[c] or "n/a" for c in cols[1:-1]] + [theta_str]
-            print(",".join(cells), file=out)
+            print(",".join([_cell(v) for v in row.values()] + [theta]), file=out)
     else:
-        print(f"theta = {theta_str}", file=out)
+        print(f"theta = {theta}", file=out)
         for row in rows:
-            parts = [f"n={row['n']}"]
-            for key in ("tau", "sigma", "w_aux", "mu", "regular_graph_bound", "chi", "laurent"):
-                parts.append(f"{key}={row[key] or 'n/a'}")
-            print("  ".join(parts), file=out)
+            print("  ".join(f"{key}={_cell(v)}" for key, v in row.items()), file=out)
     return EXIT_OK
 
 
 def _cmd_theorem_new(args, out) -> int:
     ctx = bd.mm_defect(args.n, args.alpha, args.beta, args.precision_bits)
-    payload = {
-        "n": ctx.n,
-        "alpha": format_real(ctx.alpha),
-        "beta": format_real(ctx.beta),
-        "epsilon": format_real(ctx.epsilon),
-        "threshold": format_real(ctx.threshold),
-        "phi": format_real(ctx.phi),
-        "rho": format_real(ctx.rho),
-        "S": format_real(ctx.S),
-        "T": format_real(ctx.T),
-    }
-    ds = bd.dual_bounds(ctx)  # raises HypothesisViolated with exit code 3
-    payload.update(
-        {
-            "what_lower": format_real(ds.what_lower),
-            "what_upper": format_real(ds.what_upper),
-            "w_lower": format_real(ds.w_lower),
-            "w_upper": format_real(ds.w_upper),
-        }
-    )
+    payload = {**record_to_dict(ctx), **record_to_dict(bd.dual_bounds(ctx))}  # HypothesisViolated: exit 3
     if args.output_format == "json":
         print(dump_json(payload), file=out)
     else:
-        for key in (
-            "n", "alpha", "beta", "epsilon", "threshold", "phi", "rho", "S", "T",
-            "what_lower", "what_upper", "w_lower", "w_upper",
-        ):
-            print(f"{key} = {payload[key]}", file=out)
+        for key, value in payload.items():
+            print(f"{key} = {value}", file=out)
     return EXIT_OK
 
 
@@ -188,12 +167,13 @@ def _cmd_simulate(args, out) -> int:
     bits = args.precision_bits
     target = _resolve_target(args.target, args.n, bits)
     n = target.n
-    boxed = args.xmax * (2 * args.widen + 1) ** n
-    if boxed > POOL_CAP and not args.allow_huge:
-        raise ValueError(
-            f"xmax * (2 widen + 1)^n = {boxed} candidates exceeds the cap {POOL_CAP};"
-            " pass --allow-huge to override"
-        )
+    caps = (
+        (args.xmax * (2 * args.widen + 1) ** n, POOL_CAP, "xmax * (2 widen + 1)^n = {} candidates"),
+        (args.grid_points, GRID_CAP, "--grid-points {}"),
+    )
+    for size, cap, what in caps:
+        if size > cap and not args.allow_huge:
+            raise ValueError(f"{what.format(size)} exceeds the cap {cap}; pass --allow-huge to override")
 
     # the records and the profile of the whole pool come from its kept vectors
     kept, pool_size = pgn.undominated_candidates(target, args.xmax, widen=args.widen)
@@ -243,14 +223,11 @@ def _cmd_verify(args, out) -> int:
     from .suites import run_suite
 
     results = run_suite(args.suite, args.precision_bits)
-    all_ok = True
     for r in results:
-        all_ok = all_ok and r.ok
-        print(
-            dump_json({"suite": r.suite, "check": r.name, "ok": r.ok, "detail": r.detail}),
-            file=out,
-        )
-    return EXIT_OK if all_ok else 1
+        row = record_to_dict(r)
+        row["check"] = row.pop("name")
+        print(dump_json(row), file=out)
+    return EXIT_OK if all(r.ok for r in results) else 1
 
 
 def _add_format(p: argparse.ArgumentParser, choices: Sequence[str]) -> None:
@@ -289,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem-new", help="dual-exponent bounds for one (n, alpha, beta)", parents=[common])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
+    p.add_argument("--alpha", type=_real, required=True)
+    p.add_argument("--beta", type=_real, required=True)
     _add_format(p, ("json", "text"))
     p.set_defaults(func=_cmd_theorem_new)
 
@@ -301,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--widen", type=int, default=1, help="box radius around the rounded vector")
     p.add_argument("--grid-points", type=int, default=200)
     p.add_argument("--window-fraction", type=float, default=0.5)
-    p.add_argument("--qmin", default="0.5")
-    p.add_argument("--qmax", default=None)
-    p.add_argument("--alpha", default=None, help="envelope exponent for the record checker")
-    p.add_argument("--beta", default=None, help="envelope exponent for the record checker")
+    p.add_argument("--qmin", type=_finite_real, default="0.5")
+    p.add_argument("--qmax", type=_finite_real, default=None)
+    p.add_argument("--alpha", type=_real, default=None, help="envelope exponent for the record checker")
+    p.add_argument("--beta", type=_real, default=None, help="envelope exponent for the record checker")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--allow-huge", action="store_true", help="lift the candidate-pool cap")
+    p.add_argument("--allow-huge", action="store_true", help="lift the candidate-pool and --grid-points caps")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run a named invariant suite", parents=[common])
@@ -336,12 +313,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (bd.DomainError, bd.HypothesisViolated, bd.NotRegularGraph, bd.DegenerateContext) as ex:
+    except (bd.BoundsError, NumericsError, pgn.PgnError) as ex:
         print(dump_json({"error": type(ex).__name__, "message": str(ex)}), file=out)
-        return EXIT_DOMAIN
-    except (NumericsError, pgn.PgnError) as ex:
-        print(dump_json({"error": type(ex).__name__, "message": str(ex)}), file=out)
-        return EXIT_NUMERIC
+        return EXIT_DOMAIN if isinstance(ex, bd.BoundsError) else EXIT_NUMERIC
     except ValueError as ex:
         parser.error(str(ex))
 

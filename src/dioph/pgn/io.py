@@ -1,17 +1,19 @@
-"""Deterministic CSV (RFC 4180) and JSON export of simulator results.
+"""Deterministic CSV (RFC 4180) and JSON export of result records.
 
-Exact integers are serialized as decimal strings to avoid consumer-side
-overflow; reals are printed at ``format_real``'s 12 significant digits with
-round-half-even.
+Every result record is a ``NamedTuple`` whose field order is the output order,
+rendered by one rule (``record_to_dict``): a real at ``format_real``'s 12
+significant digits with round-half-even, a tuple item by item, and any other
+value (int, bool, str, None) as it is.  ``sequence_to_dicts`` writes the
+minimal points' exact integers as decimal strings, against JSON overflow.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from typing import Iterable, List, Sequence, TextIO
+from typing import Iterable, List, NamedTuple, Optional, Sequence, TextIO
 
-from ..numerics import format_real
+from ..numerics import PrecisionReal, format_real
 from .analysis import ExponentEstimates, IntersectionRow, TheoremVReport
 from .profile import ProfileSample
 from .vectors import MinimalPointSequence
@@ -20,6 +22,7 @@ __all__ = [
     "write_sequence_csv",
     "write_profile_csv",
     "write_diagnostics_csv",
+    "record_to_dict",
     "sequence_to_dicts",
     "profile_to_dicts",
     "estimates_to_dict",
@@ -27,37 +30,41 @@ __all__ = [
     "dump_json",
 ]
 
-_CSV_KW = dict(lineterminator="\r\n")
+
+def _render(value):
+    if isinstance(value, PrecisionReal):
+        return format_real(value)
+    if isinstance(value, tuple):
+        return [_render(v) for v in value]
+    return value
+
+
+def _write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """RFC 4180 rows of values rendered by the one rule; a cell is its value's
+    JSON text, a string without its quotes."""
+    w = csv.writer(out, lineterminator="\r\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([c if isinstance(c, str) else json.dumps(c) for c in map(_render, row)])
 
 
 def write_sequence_csv(seq: MinimalPointSequence, out: TextIO) -> None:
     n = len(seq.points[0].y) if seq.points else 0
-    w = csv.writer(out, **_CSV_KW)
-    w.writerow(["x"] + [f"y_{i+1}" for i in range(n)] + ["Y", "log_x", "log_Y"])
-    for v in seq.points:
-        w.writerow(
-            [str(v.x)]
-            + [str(c) for c in v.y]
-            + [format_real(v.Y), format_real(v.log_x), format_real(v.log_Y)]
-        )
+    header = ["x", *(f"y_{i+1}" for i in range(n)), "Y", "log_x", "log_Y"]
+    _write_csv(out, header, ((v.x, *v.y, v.Y, v.log_x, v.log_Y) for v in seq.points))
 
 
 def write_profile_csv(samples: Sequence[ProfileSample], n: int, out: TextIO) -> None:
-    w = csv.writer(out, **_CSV_KW)
-    w.writerow(["q"] + [f"L_{j+1}" for j in range(n + 1)])
-    for s in samples:
-        w.writerow([format_real(s.q)] + [format_real(v) for v in s.L])
+    _write_csv(out, ["q", *(f"L_{j+1}" for j in range(n + 1))], ((s.q, *s.L) for s in samples))
 
 
 def write_diagnostics_csv(rows: Iterable[IntersectionRow], out: TextIO) -> None:
-    w = csv.writer(out, **_CSV_KW)
-    w.writerow(["k", "q", "r", "s", "u", "p", "q_order_ok", "u_order_ok"])
-    for r in rows:
-        w.writerow(
-            [str(r.k)]
-            + [format_real(v) for v in (r.q, r.r, r.s, r.u, r.p)]
-            + [str(r.q_order_ok).lower(), str(r.u_order_ok).lower()]
-        )
+    _write_csv(out, IntersectionRow._fields, rows)
+
+
+def record_to_dict(rec: NamedTuple, keys: Optional[Sequence[str]] = None) -> dict:
+    """The record's fields in order, rendered by the one rule, named by keys if given."""
+    return dict(zip(rec._fields if keys is None else keys, map(_render, rec), strict=True))
 
 
 def sequence_to_dicts(seq: MinimalPointSequence) -> List[dict]:
@@ -75,42 +82,17 @@ def sequence_to_dicts(seq: MinimalPointSequence) -> List[dict]:
 
 
 def profile_to_dicts(samples: Sequence[ProfileSample]) -> List[dict]:
-    return [
-        {
-            "q": format_real(s.q),
-            "L": [format_real(v) for v in s.L],
-            "witnesses": list(s.witnesses),
-        }
-        for s in samples
-    ]
+    return [record_to_dict(s) for s in samples]
 
 
 def estimates_to_dict(est: ExponentEstimates) -> dict:
-    return {
-        "lambda_est": format_real(est.lambda_est),
-        "lambda_hat_est": format_real(est.lambda_hat_est),
-        "psi_low_est": format_real(est.psi_low_est),
-        "psi_high_est": format_real(est.psi_high_est),
-        "w_est": format_real(est.w_est),
-        "w_hat_est": format_real(est.w_hat_est),
-        "window_q": [format_real(est.window[0]), format_real(est.window[1])],
-        "window_log_x": [format_real(est.window_log_x[0]), format_real(est.window_log_x[1])],
-    }
+    d = record_to_dict(est)
+    d["window_q"] = d.pop("window")  # the window's ends are q values
+    return d
 
 
 def theorem_report_to_dict(rep: TheoremVReport) -> dict:
-    return {
-        "alpha": format_real(rep.alpha),
-        "beta": format_real(rep.beta),
-        "epsilon": format_real(rep.epsilon),
-        "threshold": format_real(rep.threshold),
-        "hypothesis_ok": rep.hypothesis_ok,
-        "fitted_C": format_real(rep.fitted_C),
-        "prop1_margin": format_real(rep.prop1_margin),
-        "prop2_margin": format_real(rep.prop2_margin),
-        "independence_ok": rep.independence_ok,
-        "record_ok": rep.record_ok,
-    }
+    return record_to_dict(rep)
 
 
 def dump_json(obj) -> str:

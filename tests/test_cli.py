@@ -34,6 +34,31 @@ def run_subprocess(*argv, env=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# sha256 of stdout, taken before the renderers were built from the records'
+# fields; the table and the dual-bound records must print these exact bytes
+RENDERED = {
+    ("bounds", "--n", "2..30", "--format", "text"):
+        "6cfcbe055b5e657265fb5926375958c878770f09974368a0548aaa4c5189f62e",
+    ("bounds", "--n", "2..30", "--format", "json"):
+        "bf4a71058636e33a8fc371c50c7055de8067da060ea704cd79ab80bcc0767887",
+    ("bounds", "--n", "2..30", "--format", "csv"):
+        "04fabae0823bea66a9bc1c537e867818d6c2f16331956c790d2e497a1903f1d3",
+    ("bounds", "--n", "4..12", "--even", "--format", "csv"):
+        "87df3dc0d7a2027cfd91f1986678b06332ea40c1454ba76733b43e690926fe50",
+    ("theorem-new", "--n", "2", "--alpha", "0.6", "--beta", "0.9000001", "--format", "text"):
+        "364e39b9dacda312437954e8731e1247d143ff75f86bb1b9362bec980af8b8cf",
+    ("theorem-new", "--n", "2", "--alpha", "0.6", "--beta", "0.9000001", "--format", "json"):
+        "2606aea88f0978863fa419e820a7431b8a83535fb67bc6c630644c4c02adf15f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RENDERED), ids=" ".join)
+def test_rendered_output_is_pinned(argv):
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert sha256(out.encode()).hexdigest() == RENDERED[argv]
+
+
 class TestBoundsCommand:
     def test_n2_row(self):
         code, out = run_cli("bounds", "--n", "2")
@@ -120,7 +145,7 @@ class TestBoundsCommand:
         coarse, exact = (float(json.loads(o.splitlines()[1])["sigma"]) for o in (out, full))
         assert abs(coarse - exact) <= float(tol) * exact
 
-    @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf", "abc"])
+    @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf", "abc", "1/0"])
     def test_tol_not_a_positive_real_is_usage_error(self, capsys, tol):
         # the default tol is left to each solve; a given one is still checked
         with pytest.raises(SystemExit) as exc:
@@ -186,6 +211,15 @@ class TestTheoremNewCommand:
         code, out = run_cli("theorem-new", "--n", "4", "--alpha", alpha, "--beta", beta)
         assert code == 3
         assert json.loads(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("value", ["abc", "", "0x1", "1/0"])
+    def test_alpha_beta_not_a_real_is_usage_error(self, capsys, flag, value):
+        argv = {"--alpha": "0.2", "--beta": "0.2", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            run_cli("theorem-new", "--n", "5", *[x for kv in argv.items() for x in kv])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
 
     def test_csv_format_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -267,6 +301,36 @@ class TestSimulateCommand:
             run_cli(
                 "simulate", "--target", "veronese:e", "--n", "3", "--widen", "2",
                 "--xmax", "1000000", "--out", str(tmp_path),
+            )
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--qmax", "inf"), ("--qmax", "nan"), ("--qmin", "abc"), ("--qmin", "-inf"),
+         ("--alpha", "abc"), ("--beta", "")],
+    )
+    def test_bad_real_flag_names_the_flag(self, tmp_path, capsys, flag, value):
+        # the q window must be finite; alpha and beta may be NaN or inf, which
+        # the record checker refuses itself
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "simulate", "--target", "veronese:e", "--n", "1", "--xmax", "100",
+                "--alpha", "0.9", "--beta", "1.1", "--out", str(tmp_path), f"{flag}={value}",
+            )
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_grid_points_cap(self, tmp_path, monkeypatch):
+        # 10^8 grid points would take hours; the cap must act before the pool
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a pool for a grid beyond the cap")
+
+        monkeypatch.setattr("dioph.pgn.undominated_candidates", refuse)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "simulate", "--target", "veronese:e", "--n", "2", "--xmax", "2000",
+                "--grid-points", "100000000", "--out", str(tmp_path),
             )
         assert exc.value.code == 2
 

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+from typing import NamedTuple
+
+import pytest
 
 from dioph import pgn
 from dioph.numerics import PrecisionReal, golden_value, log as nlog
@@ -86,3 +89,35 @@ def test_sequence_and_profile_json_dicts():
     assert len(prows) == len(prof)
     assert len(prows[0]["L"]) == 2 and len(prows[0]["witnesses"]) == 2
     json.loads(pgn.dump_json({"sequence": rows, "profile": prows}))
+
+
+class _Record(NamedTuple):
+    n: int
+    x: PrecisionReal
+    pair: tuple
+    flag: bool
+    label: str
+    missing: object
+
+
+def test_record_to_dict_renders_every_field_by_one_rule():
+    rec = _Record(3, PR(2) / 3, (PR(1) / 7, 5), True, "e", None)
+    d = pgn.io.record_to_dict(rec)
+    assert list(d) == list(_Record._fields)  # field order is output order
+    assert d == {
+        "n": 3, "x": "0.666666666667", "pair": ["0.142857142857", 5],
+        "flag": True, "label": "e", "missing": None,
+    }
+    renamed = pgn.io.record_to_dict(rec, ("a", "b", "c", "d", "e", "f"))
+    assert list(renamed) == ["a", "b", "c", "d", "e", "f"]
+    assert list(renamed.values()) == list(d.values())
+    with pytest.raises(ValueError):  # a key tuple must name every field
+        pgn.io.record_to_dict(rec, ("a", "b"))
+
+
+def test_bounds_keys_name_every_constants_report_field():
+    from dioph.bounds import ConstantsReport
+    from dioph.cli import BOUNDS_KEYS
+
+    assert len(BOUNDS_KEYS) == len(ConstantsReport._fields)
+    assert BOUNDS_KEYS[0] == ConstantsReport._fields[0] == "n"
