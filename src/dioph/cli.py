@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from . import bounds as bd
 from . import pgn
@@ -36,6 +36,8 @@ from .pgn.io import (
 )
 
 __all__ = ["main", "build_parser"]
+
+T = TypeVar("T")
 
 # the choices of `verify`, the keys of suites.SUITE_NAMES: suites loads only
 # when a suite runs
@@ -69,22 +71,32 @@ def _precision_bits(text: str) -> int:
     return bits
 
 
-def _real_flag(accept: Callable[[PrecisionReal], bool], message: str) -> Callable[[str], str]:
-    """An argparse type for a real that accept passes, kept as text so each
-    use reads it at its own precision."""
+def _checked_flag(read: Callable[[str], T], accept: Callable[[T], bool], message: str) -> Callable[[str], T]:
+    """An argparse type: the value read from the text, refused with message
+    unless read parses it and accept passes it."""
 
-    def parse(text: str) -> str:
+    def parse(text: str) -> T:
         try:
-            ok = accept(PrecisionReal(text, 64))
+            value = read(text)
+            ok = accept(value)
         except (ValueError, ZeroDivisionError):  # "abc", "1/0"
             ok = False
         if not ok:
             raise argparse.ArgumentTypeError(message)
-        return text
+        return value
 
     return parse
 
 
+def _real_flag(accept: Callable[[PrecisionReal], bool], message: str) -> Callable[[str], str]:
+    """An argparse type for a real that accept passes, kept as text so each
+    use reads it at its own precision."""
+    return _checked_flag(str, lambda text: accept(PrecisionReal(text, 64)), message)
+
+
+_xmax = _checked_flag(int, lambda k: k >= 1, "must be an integer >= 1")
+_grid_points = _checked_flag(int, lambda k: k >= 2, "must be an integer >= 2")
+_window_fraction = _checked_flag(float, lambda f: 0 < f < 1, "must be a real in (0, 1)")
 _positive_tol = _real_flag(lambda r: r.is_finite and r.sign() > 0, "tol must parse as a positive real")
 _finite_real = _real_flag(lambda r: r.is_finite, "must parse as a finite real")  # --qmin, --qmax
 # --alpha, --beta: NaN and inf reach the solvers, which refuse them with exit 3
@@ -175,10 +187,13 @@ def _cmd_simulate(args, out) -> int:
         if size > cap and not args.allow_huge:
             raise ValueError(f"{what.format(size)} exceeds the cap {cap}; pass --allow-huge to override")
 
+    q_max = nlog(PrecisionReal(args.xmax, bits)) if args.qmax is None else PrecisionReal(args.qmax, bits)
+    if not PrecisionReal(args.qmin, bits) < q_max:
+        raise ValueError(f"--qmin {args.qmin} must be below q_max = {format_real(q_max)} (--qmax, or log --xmax)")
+
     # the records and the profile of the whole pool come from its kept vectors
     kept, pool_size = pgn.undominated_candidates(target, args.xmax, widen=args.widen)
     seq = pgn.minimal_points(kept)
-    q_max = nlog(PrecisionReal(args.xmax, bits)) if args.qmax is None else PrecisionReal(args.qmax, bits)
     grid = pgn.build_q_grid(seq, n, q_max, count=args.grid_points, q_min=args.qmin)
     samples = pgn.profile(kept, grid, n)
     estimates = pgn.estimate_exponents(seq, samples, n, window_fraction=args.window_fraction)
@@ -274,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="minimal points, profile, and exponent estimates", parents=[common])
     p.add_argument("--target", required=True, help="veronese:<name|decimal> or explicit:<c1,c2,...>")
     p.add_argument("--n", type=int, help="dimension (veronese targets)")
-    p.add_argument("--xmax", type=int, required=True)
+    p.add_argument("--xmax", type=_xmax, required=True)
     p.add_argument("--widen", type=int, default=1, help="box radius around the rounded vector")
-    p.add_argument("--grid-points", type=int, default=200)
-    p.add_argument("--window-fraction", type=float, default=0.5)
+    p.add_argument("--grid-points", type=_grid_points, default=200)
+    p.add_argument("--window-fraction", type=_window_fraction, default=0.5)
     p.add_argument("--qmin", type=_finite_real, default="0.5")
     p.add_argument("--qmax", type=_finite_real, default=None)
     p.add_argument("--alpha", type=_real, default=None, help="envelope exponent for the record checker")

@@ -417,8 +417,34 @@ NAMED_CONSTANTS = {
 # -- deterministic decimal formatting ---------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _decimal_context(significant: int):
+    """The decimal context format_real rounds in: significant + 20 digits
+    and decimal's widest exponent range, so that no power of 2 a binary
+    exponent gives overflows or underflows.  Every caller shares it: its
+    operations only raise its untrapped Inexact and Rounded flags, which
+    no result reads."""
+    import decimal  # here, so importing dioph does not load it
+
+    return decimal.Context(prec=significant + 20, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+@functools.lru_cache(maxsize=1024)
+def _power_of_two(expo: int, significant: int):
+    """2^expo in _decimal_context(significant), rounded there."""
+    import decimal
+
+    return _decimal_context(significant).power(decimal.Decimal(2), expo)
+
+
 def format_real(x: Scalar, significant: int = 12) -> str:
-    """Format at an explicit number of significant digits, round-half-even."""
+    """Format at an explicit number of significant digits, round-half-even.
+
+    The value man 2^expo is taken as man, exactly, times 2^expo rounded to
+    significant + 20 digits; the product is rounded there, then to
+    significant digits.  The context of each significant and the power of
+    each (expo, significant) are made once and reused (`_decimal_context`,
+    `_power_of_two`), and a negative value is negated exactly."""
     r = _as_real(x)
     if r.raw == fnan:
         return "nan"
@@ -428,18 +454,9 @@ def format_real(x: Scalar, significant: int = 12) -> str:
         return "-inf"
     if r.raw == fzero:
         return "0"
-    import decimal  # here, so importing dioph does not load it
-
     sign, man, expo, _ = r.raw
-    with decimal.localcontext() as ctx:
-        ctx.prec = significant + 20
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        d = decimal.Decimal(int(man)) * (decimal.Decimal(2) ** expo)
-        if sign:
-            d = -d
-        out = format(d, f".{significant}g")
-    return out
+    d = _decimal_context(significant).multiply(int(man), _power_of_two(expo, significant))
+    return format(d.copy_negate() if sign else d, f".{significant}g")
 
 
 # -- bracketed root finding --------------------------------------------------

@@ -41,6 +41,13 @@ class IntBasis:
     def count(self) -> int:
         return len(self._rows)
 
+    def copy(self) -> "IntBasis":
+        """A basis with the same rows that grows apart from this one; the
+        rows are never rewritten, so the two share them."""
+        twin = IntBasis(self.dim)
+        twin._rows = self._rows.copy()
+        return twin
+
     def try_add(self, vec: Sequence[int]) -> bool:
         """Add vec if independent of the current rows; report whether it was."""
         if len(vec) != self.dim:

@@ -19,11 +19,14 @@ near-ties the doubles cannot order.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from functools import cmp_to_key, lru_cache
 from heapq import heappop, heappush, merge
 from math import inf
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..numerics import PrecisionReal, Scalar
+from mpmath.libmp import fnan, from_int, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_sub, to_float
+
+from ..numerics import RND, PrecisionReal, Scalar
 from .intrank import IntBasis
 from .vectors import ApproxVector, MinimalPointSequence, _undominated
 
@@ -47,12 +50,30 @@ class ProfileSample(NamedTuple):
     witnesses: Tuple[int, ...]
 
 
+@lru_cache(maxsize=16)
+def _q_over_n(q: tuple, bits: int, n: int) -> tuple:
+    """The raw q / n for a raw q at bits, as the PrecisionReal operator
+    gives it: n taken at bits, the quotient rounded once there.  Cached, so
+    a grid point costs one division however many vectors are scored at it."""
+    return mpf_div(q, from_int(n, bits, RND), bits, RND)
+
+
 def vector_L(v: ApproxVector, q: Scalar, n: int) -> PrecisionReal:
-    """max(log x - q, log Y + q/n) at the working precision."""
+    """max(log x - q, log Y + q/n) at the working precision: each branch is
+    rounded once at the larger of its two precisions, as the PrecisionReal
+    operators round it, and only the larger branch is wrapped."""
     qr = q if isinstance(q, PrecisionReal) else PrecisionReal(q, v.precision_bits)
-    rise = v.log_Y + qr / n
-    fall = v.log_x - qr
-    return fall if fall > rise else rise
+    q_bits = qr.precision_bits
+    log_x, log_Y = v.log_x, v.log_Y
+    fall_bits = log_x.precision_bits if log_x.precision_bits > q_bits else q_bits
+    rise_bits = log_Y.precision_bits if log_Y.precision_bits > q_bits else q_bits
+    fall = mpf_sub(log_x.raw, qr.raw, fall_bits, RND)
+    rise = mpf_add(log_Y.raw, _q_over_n(qr.raw, q_bits, n), rise_bits, RND)
+    if fall == fnan or rise == fnan:
+        raise ValueError("ordering comparison with NaN")
+    if mpf_cmp(fall, rise) > 0:
+        return PrecisionReal._make(fall, fall_bits)
+    return PrecisionReal._make(rise, rise_bits)
 
 
 def vector_min_point(v: ApproxVector, n: int) -> Tuple[PrecisionReal, PrecisionReal]:
@@ -155,6 +176,14 @@ def profile(
     in (L, rank) order, rank being the (x, y, index) order.  Exact L is
     thus taken only for picks and near-ties, until n + 1 independent
     vectors are chosen.
+
+    Independence is tested once per call for each (S, r), S the set of
+    vectors chosen before kept vector r is offered.  Whether r lies in the
+    span of S depends on S and r alone, not on q, so the answer is cached
+    for the whole grid, keyed on S as a bitmask of ranks and on r.  A miss
+    runs `IntBasis.try_add` on a copy of a cached basis of S; a hit, as at
+    most steps between neighbouring q where the witnesses stay the same,
+    needs no integer elimination.
     """
     pool = list(candidates)
     kept = _undominated(pool, n)
@@ -166,6 +195,18 @@ def profile(
     rising: List[Tuple[float, int]] = []
     moves = sorted(((n * (x - y) / (n + 1), r) for r, (x, y) in enumerate(zip(fx, fy))), reverse=True)
 
+    tests: Dict[Tuple[int, int], bool] = {}  # (S, r) -> r is independent of S
+    bases: Dict[int, IntBasis] = {0: IntBasis(n + 1)}  # S -> a basis of S
+
+    def independent(chosen_set: int, r: int) -> bool:
+        found = tests.get((chosen_set, r))
+        if found is None:
+            basis = bases[chosen_set].copy()
+            found = tests[chosen_set, r] = basis.try_add(vecs[r].ints())
+            if found:
+                bases.setdefault(chosen_set | 1 << r, basis)
+        return found
+
     samples: List[ProfileSample] = []
     prev: Optional[PrecisionReal] = None
     for q_in in q_grid:
@@ -173,23 +214,25 @@ def profile(
         if prev is not None and not q > prev:
             raise ValueError("q_grid must be strictly increasing")
         prev = q
-        qf, qnf = float(q), float(q / n)
+        qf, qnf = float(q), to_float(_q_over_n(q.raw, q.precision_bits, n))
         while moves and moves[-1][0] <= qf:
             r = moves.pop()[1]
             del falling[bisect_left(falling, (fx[r], r))]
             insort(rising, (fy[r], r))
         gap = 2 * ((M + abs(qf)) * (2.0**-50 + 2.0 ** (1 - q.precision_bits)) + 2.0**-1020)
-        basis = IntBasis(n + 1)
         chosen: List[Tuple[PrecisionReal, int]] = []
+        chosen_set = 0
         for run in _runs(_draws(falling, rising, fx, fy, qf, qnf), gap):
             if len(run) == 1:
                 r = run[0]
-                if basis.try_add(vecs[r].ints()):
+                if independent(chosen_set, r):
                     chosen.append((vector_L(vecs[r], q, n), kept[r]))
+                    chosen_set |= 1 << r
             else:  # a near-tie: exact L orders it, equal L by rank
                 for L_val, r in sorted((vector_L(vecs[r], q, n), r) for r in run):
-                    if len(chosen) <= n and basis.try_add(vecs[r].ints()):
+                    if len(chosen) <= n and independent(chosen_set, r):
                         chosen.append((L_val, kept[r]))
+                        chosen_set |= 1 << r
             if len(chosen) > n:
                 break
         samples.append(
@@ -204,18 +247,26 @@ def profile(
 
 def minkowski_defect(samples: Iterable[ProfileSample]) -> PrecisionReal:
     """max over samples of |sum_j L_j(q)|, the second-theorem boundedness
-    diagnostic; grows only if the pool misses relevant vectors."""
-    worst: Optional[PrecisionReal] = None
+    diagnostic; grows only if the pool misses relevant vectors.  Each sum
+    is taken left to right on raw values, every addition rounded at the
+    larger precision, as the PrecisionReal operator rounds it."""
+    worst: Optional[Tuple[tuple, int]] = None
     for s in samples:
-        total = s.L[0]
+        total, bits = s.L[0].raw, s.L[0].precision_bits
         for v in s.L[1:]:
-            total = total + v
-        total = abs(total)
-        if worst is None or total > worst:
-            worst = total
+            if v.precision_bits > bits:
+                bits = v.precision_bits
+            total = mpf_add(total, v.raw, bits, RND)
+        total = mpf_abs(total)
+        if worst is None or mpf_cmp(total, worst[0]) > 0:
+            worst = total, bits
     if worst is None:
         raise ValueError("empty profile")
-    return worst
+    return PrecisionReal._make(*worst)
+
+
+# sorts PrecisionReals by value, as their < does
+_by_value = cmp_to_key(lambda a, b: mpf_cmp(a.raw, b.raw))
 
 
 def build_q_grid(
@@ -227,7 +278,10 @@ def build_q_grid(
 ) -> List[PrecisionReal]:
     """Uniform grid on [q_min, q_max] joined with every record breakpoint
     (branch minima q_k and consecutive-record crossings r_k), so profile
-    kinks are sampled exactly."""
+    kinks are sampled exactly.  The uniform points are lo + (hi - lo) i /
+    count, each operation rounded as the PrecisionReal operators round it,
+    with hi - lo taken once; the points are filtered, sorted and
+    deduplicated on raw values."""
     if count < 2:
         raise ValueError("count must be >= 2")
     bits = seq.points[0].precision_bits if len(seq) else None
@@ -235,14 +289,20 @@ def build_q_grid(
     hi = q_max if isinstance(q_max, PrecisionReal) else PrecisionReal(q_max, bits)
     if not lo < hi:
         raise ValueError("q_min must be below q_max")
-    points = [lo + (hi - lo) * i / count for i in range(count + 1)]
+    p = max(lo.precision_bits, hi.precision_bits)
+    span, steps = mpf_sub(hi.raw, lo.raw, p, RND), from_int(count, p, RND)
+    points = []
+    for i in range(count + 1):
+        offset = mpf_div(mpf_mul(span, from_int(i, p, RND), p, RND), steps, p, RND)
+        points.append(PrecisionReal._make(mpf_add(lo.raw, offset, p, RND), p))
     for k, v in enumerate(seq.points):
         points.append(crossing_q(v, v, n))
         if k + 1 < len(seq.points):
             points.append(crossing_q(v, seq.points[k + 1], n))
-    kept = sorted(p for p in points if lo <= p <= hi)
+    lo_raw, hi_raw = lo.raw, hi.raw
+    inside = [q for q in points if mpf_cmp(lo_raw, q.raw) <= 0 and mpf_cmp(q.raw, hi_raw) <= 0]
     grid: List[PrecisionReal] = []
-    for p in kept:
-        if not grid or p > grid[-1]:
-            grid.append(p)
+    for q in sorted(inside, key=_by_value):
+        if not grid or mpf_cmp(q.raw, grid[-1].raw) > 0:
+            grid.append(q)
     return grid

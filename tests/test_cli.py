@@ -321,6 +321,28 @@ class TestSimulateCommand:
         assert f"argument {flag}: " in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--grid-points", "1"), ("--grid-points", "2.5"), ("--window-fraction", "nan"),
+         ("--window-fraction", "-1"), ("--window-fraction", "1"), ("--xmax", "0"),
+         ("--qmin", "50"), ("--qmin", "7.6009024596"), ("--qmax", "0.5")],
+    )
+    def test_bad_grid_flag_refused_before_the_pool(self, tmp_path, capsys, monkeypatch, flag, value):
+        # each is refused up front, naming its flag, not after streaming the
+        # pool; log 2000 = 7.60090245954...
+        def refuse(*args, **kwargs):
+            raise AssertionError("streamed the pool for a refused flag")
+
+        monkeypatch.setattr("dioph.pgn.undominated_candidates", refuse)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "simulate", "--target", "veronese:e", "--n", "2", "--xmax", "2000",
+                "--out", str(tmp_path), f"{flag}={value}",
+            )
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_grid_points_cap(self, tmp_path, monkeypatch):
         # 10^8 grid points would take hours; the cap must act before the pool
         def refuse(*args, **kwargs):
@@ -382,32 +404,63 @@ class TestSimulateCommand:
         for name in ("minimal_points.csv", "profile.csv", "estimates.json", "intersections.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
-    # sha256 of the output of the two runs, taken before the profile became
-    # a merge of presorted lists; any change in a printed digit fails here
+    # sha256 of the output of each run: e_n2 and pi_n3 taken before the
+    # profile became a merge of presorted lists, the rest before it cached
+    # its independence tests across q; any change in a printed digit fails here
     PINNED = {
-        "e_n2": ("veronese:e", "2", "2000", {
+        "e_n2": (("--target", "veronese:e", "--n", "2", "--xmax", "2000"), {
             "stdout": "8114dbdcb2897a1d83c278cb30149f8df14cd545d238dd7d05067815c5a4bc23",
             "estimates.json": "1d64fba6634fbece8d1f76c2a8524170c3c0c89d6e80438640da04f44f4a9dec",
             "intersections.csv": "f09e4fb811f752bc2848a3d225a39a5fa5e06d84ce846edcd77aa7bb89a0e5c4",
             "minimal_points.csv": "bb71d7dee24d5e29a7dd39294bce84e98755259325e60d3dcd34823f553c0505",
             "profile.csv": "a7861a6bbc68454eeca54208d6a8c2ea5ca37d454649df5355ccea3e14e757c9",
         }),
-        "pi_n3": ("veronese:pi", "3", "1000", {
+        "pi_n3": (("--target", "veronese:pi", "--n", "3", "--xmax", "1000"), {
             "stdout": "69583e1f621efe3881ed66486dff551dffc445a7c79081e04956d082be3feae1",
             "estimates.json": "e9577d51785608dec82d0f003c6b2119ce72a3b2e8ecafe0e20c4a23fae09865",
             "intersections.csv": "da5cdf5fb6aa1f89a7deebb6ee3cdeffe39708494cfb3bb34abaef8cd5e8f10e",
             "minimal_points.csv": "6d31e9a3142d0f8ff4b4bb85f106f9b37379530abb62f271b6764158458dac28",
             "profile.csv": "71b3a376e364b977245d5c63cd8c3fb831b52fd95b20435c4c82f240d6dfd84a",
         }),
+        # the n = 1 path and its 2-column rows
+        "golden_n1": (("--target", "veronese:golden", "--n", "1", "--xmax", "2000"), {
+            "stdout": "8c49d4297174820dfd00a3423dab5f860a0800ebb0864bb717fb3681c338ae02",
+            "estimates.json": "37c619f5dda55cb16b7a43e3f91b5b0673001948af1bdfd9bbf7005ccdd958f1",
+            "intersections.csv": "172ffbe14edd1743cf5c07eda5390177edd35e2945a651ab222fc0d9f996c40a",
+            "minimal_points.csv": "04c1bc88c35c60fbefec50cfd6800a35ce3158829ee211798bd5a810a0f45e6b",
+            "profile.csv": "e4b4e60cfca108a45d6d1f1e843b9f5b10bdb67565255991849177258c46a3ae",
+        }),
+        # 5-column rows; below xmax 2000 the trailing window holds 2 records
+        "pi_n4": (("--target", "veronese:pi", "--n", "4", "--xmax", "3000"), {
+            "stdout": "a3230d530792229c3aee439445f43347d905bab2a39d635cd91bf5fb997ed20e",
+            "estimates.json": "a62cf55789a812ca242b33213d50173eb0eb98592705f5507d2cfc136182ddd1",
+            "intersections.csv": "4b9fc93319ee4a1cfea653907f13e347dfa2bf465ca7e9876eb34e951247ec3c",
+            "minimal_points.csv": "1a3269f5094d97ff091fa3cfb8aa0615f12dab7467fabe4d5a6ff5625679f42c",
+            "profile.csv": "e40a5ceb0f38a5a567d671e29af9b6932eec9998014891e1e7f453130602c62c",
+        }),
+        # 64-bit values: q, L and their sums round at 64 bits, and format_real
+        # meets other exponents
+        "e_n2_64_bits": (("--precision-bits", "64", "--target", "veronese:e", "--n", "2", "--xmax", "2000"), {
+            "stdout": "8114dbdcb2897a1d83c278cb30149f8df14cd545d238dd7d05067815c5a4bc23",
+            "estimates.json": "1d64fba6634fbece8d1f76c2a8524170c3c0c89d6e80438640da04f44f4a9dec",
+            "intersections.csv": "f09e4fb811f752bc2848a3d225a39a5fa5e06d84ce846edcd77aa7bb89a0e5c4",
+            "minimal_points.csv": "bb71d7dee24d5e29a7dd39294bce84e98755259325e60d3dcd34823f553c0505",
+            "profile.csv": "52ee7ed2e6587531af0a565285bec893b363957183a7fa7f0fcfdf00e68eec14",
+        }),
+        "e_n2_theorem_v": (("--target", "veronese:e", "--n", "2", "--xmax", "2000", "--alpha", "0.6", "--beta", "1"), {
+            "stdout": "039181476f6959934654b6911365921466b81e1c18fc5f7c4d7e68f99af6204f",
+            "estimates.json": "1d64fba6634fbece8d1f76c2a8524170c3c0c89d6e80438640da04f44f4a9dec",
+            "intersections.csv": "f09e4fb811f752bc2848a3d225a39a5fa5e06d84ce846edcd77aa7bb89a0e5c4",
+            "minimal_points.csv": "bb71d7dee24d5e29a7dd39294bce84e98755259325e60d3dcd34823f553c0505",
+            "profile.csv": "a7861a6bbc68454eeca54208d6a8c2ea5ca37d454649df5355ccea3e14e757c9",
+            "theorem_v.json": "7412fb6ad82af57f7b3da7ccfef09dcb009f54243da55d63396ac2732701f060",
+        }),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_output_is_pinned(self, tmp_path, case):
-        target, n, xmax, pinned = self.PINNED[case]
-        code, out = run_cli(
-            "simulate", "--target", target, "--n", n, "--xmax", xmax, "--widen", "1",
-            "--out", str(tmp_path),
-        )
+        argv, pinned = self.PINNED[case]
+        code, out = run_cli("simulate", *argv, "--widen", "1", "--out", str(tmp_path))
         assert code == 0
         digests = {"stdout": sha256(out.replace(str(tmp_path), "OUT").encode()).hexdigest()}
         for path in sorted(tmp_path.iterdir()):

@@ -5,6 +5,10 @@ larger of the two operand precisions with round-nearest, after a Scalar
 operand is rounded at the PrecisionReal operand's precision.  The oracle
 reads only the operands' raw mpf and precision, so it holds whichever path
 the wrapper takes to the result, the memo of small ints' exact raws too.
+
+``reference_format_real`` is format_real as it ran in a fresh
+``decimal.localcontext`` per call, verbatim; the two must print the same
+string for every value.
 """
 
 import copy
@@ -16,10 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
+    finf,
+    fninf,
     fnan,
     fone,
+    fzero,
     from_float,
     from_int,
+    from_man_exp,
     from_str,
     mpf_add,
     mpf_cmp,
@@ -30,7 +38,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from dioph.numerics import _SMALL_INTS, PrecisionReal
+from dioph.numerics import _SMALL_INTS, PrecisionReal, format_real
 
 PR = PrecisionReal
 # below 9 bits some memoized small ints round and others do not
@@ -225,3 +233,67 @@ def test_copies_keep_raw_and_bits(copier, value, bits):
     with pytest.raises(AttributeError):
         b.raw = a.raw
 
+
+
+def reference_format_real(x, significant: int = 12) -> str:
+    r = x if isinstance(x, PrecisionReal) else PrecisionReal(x)
+    if r.raw == fnan:
+        return "nan"
+    if r.raw == finf:
+        return "inf"
+    if r.raw == fninf:
+        return "-inf"
+    if r.raw == fzero:
+        return "0"
+    import decimal
+
+    sign, man, expo, _ = r.raw
+    with decimal.localcontext() as ctx:
+        ctx.prec = significant + 20
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        d = decimal.Decimal(int(man)) * (decimal.Decimal(2) ** expo)
+        if sign:
+            d = -d
+        out = format(d, f".{significant}g")
+    return out
+
+
+def dyadic(man: int, exp: int) -> PR:
+    """man 2^exp exactly, at the bits of man's mantissa."""
+    return PR._make(from_man_exp(man, exp), max(1, abs(man).bit_length()))
+
+
+# man 2^exp with a mantissa of 1 to 4096 bits, far beyond decimal's default
+# exponent range of +-999999 once the mantissa's digits are counted in
+dyadics = st.builds(
+    lambda bits, man, exp, neg: dyadic((-1 if neg else 1) * (man % 2**bits | 2 ** (bits - 1)), exp),
+    st.integers(1, 4096),
+    st.integers(0, 2**4096),
+    st.integers(-(10**6), 10**6),
+    st.booleans(),
+)
+# (2a + 1)/2 10^k with a of `significant` digits: exactly halfway between
+# two printable values, as 123456789012.5 is at 12 digits
+ties = st.builds(
+    lambda a, k, neg: PR((-1 if neg else 1) * (2 * a + 1) * 10**k, 512) / 2,
+    st.integers(10**11, 10**12 - 1) | st.integers(10**5, 10**6 - 1),
+    st.integers(0, 30),
+    st.booleans(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=dyadics | ties, significant=st.sampled_from([6, 12]))
+def test_format_real_matches_the_reference(x, significant):
+    assert format_real(x, significant) == reference_format_real(x, significant)
+
+
+@pytest.mark.parametrize("significant", [6, 12])
+@pytest.mark.parametrize(
+    "value",
+    ["nan", "inf", "-inf", "0", "-0", "123456789012.5", "123456789013.5", "-1234565", "2.5e-7"],
+)
+def test_format_real_matches_the_reference_at(value, significant):
+    x = PR(value, 256)
+    assert format_real(x, significant) == reference_format_real(x, significant)

@@ -4,7 +4,9 @@
 verbatim, before its merge ran on doubles.  The two must give the same L,
 compared by raw value, and the same witnesses at every grid point, or
 raise the same type of exception.  ``full_pool_greedy`` in
-test_pgn_profile.py stays the independent oracle of both.
+test_pgn_profile.py stays the independent oracle of both.  The reference
+builds a fresh basis at every q, so it also checks profile's independence
+answers, cached across q.
 """
 
 import sys
@@ -18,11 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dioph import pgn
-from dioph.numerics import PrecisionReal, Scalar
-from dioph.numerics import exp as nexp
+from dioph.numerics import PrecisionReal, Scalar, e_value
+from dioph.numerics import exp as nexp, log as nlog
 from dioph.pgn import ApproxVector, IntBasis, ProfileSample, crossing_q, vector_L
 from dioph.pgn.profile import _draws
 from dioph.pgn.vectors import _undominated
+from test_pgn_profile import tied_pools
 
 PR = PrecisionReal
 
@@ -244,3 +247,57 @@ def test_exact_L_only_for_picks_and_near_ties(monkeypatch, e, scored):
     assert xs == scored
     monkeypatch.undo()
     assert outcome(pgn.profile, pool, qs, 1) == outcome(reference_profile, pool, qs, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=tied_pools(),
+    grid=st.lists(st.integers(-16, 24), min_size=2, max_size=8, unique=True),
+)
+def test_cached_independence_matches_the_reference(case, grid):
+    # repeated and dependent vectors, with several q: a cached answer is
+    # reused only at a later q
+    n, pool = case
+    qs = [PR(g) / 4 for g in sorted(grid)]
+    assert outcome(pgn.profile, pool, qs, n) == outcome(reference_profile, pool, qs, n)
+
+
+def test_one_independence_test_per_set_and_vector(monkeypatch):
+    # e at n = 2, x_max 10^4: the reference runs 728 tests on 218 fresh
+    # bases; profile's sweep runs try_add once for each distinct (chosen
+    # set, vector) among them
+    t = pgn.TargetPoint.veronese(e_value(), 2)
+    kept, _ = pgn.undominated_candidates(t, 10**4, widen=1)
+    grid = pgn.build_q_grid(pgn.minimal_points(kept), 2, nlog(PR(10**4)))
+    tests = []
+
+    class Recording(IntBasis):
+        def __init__(self, dim):
+            super().__init__(dim)
+            self.chosen = frozenset()
+
+        def try_add(self, vec):
+            tests.append((self.chosen, tuple(vec)))
+            added = super().try_add(vec)
+            if added:
+                self.chosen |= {tuple(vec)}
+            return added
+
+    monkeypatch.setattr(sys.modules[__name__], "IntBasis", Recording)
+    expect = outcome(reference_profile, kept, grid, 2)
+    monkeypatch.undo()
+
+    calls = 0
+    try_add = IntBasis.try_add
+
+    def counted(self, vec):
+        nonlocal calls
+        calls += 1
+        return try_add(self, vec)
+
+    monkeypatch.setattr(IntBasis, "try_add", counted)
+    _undominated(kept, 2)
+    pruning, calls = calls, 0
+    assert outcome(pgn.profile, kept, grid, 2) == expect
+    # the sweep's calls are those beyond the pruning's, which profile runs first
+    assert (len(grid), len(tests), len(set(tests)), calls - pruning) == (218, 728, 93, 93)
