@@ -417,24 +417,24 @@ NAMED_CONSTANTS = {
 # -- deterministic decimal formatting ---------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def _decimal_context(significant: int):
-    """The decimal context format_real rounds in: significant + 20 digits
-    and decimal's widest exponent range, so that no power of 2 a binary
-    exponent gives overflows or underflows.  Every caller shares it: its
-    operations only raise its untrapped Inexact and Rounded flags, which
-    no result reads."""
+@functools.lru_cache(maxsize=32)
+def _decimal_context(digits: int):
+    """A decimal context format_real rounds in: digits digits, half to
+    even, and decimal's widest exponent range, so that no power of 2 a
+    binary exponent gives overflows or underflows.  Every caller shares
+    it: its operations only raise its untrapped Inexact and Rounded flags,
+    which no result reads."""
     import decimal  # here, so importing dioph does not load it
 
-    return decimal.Context(prec=significant + 20, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 @functools.lru_cache(maxsize=1024)
 def _power_of_two(expo: int, significant: int):
-    """2^expo in _decimal_context(significant), rounded there."""
+    """2^expo in _decimal_context(significant + 20), rounded there."""
     import decimal
 
-    return _decimal_context(significant).power(decimal.Decimal(2), expo)
+    return _decimal_context(significant + 20).power(decimal.Decimal(2), expo)
 
 
 def format_real(x: Scalar, significant: int = 12) -> str:
@@ -442,9 +442,11 @@ def format_real(x: Scalar, significant: int = 12) -> str:
 
     The value man 2^expo is taken as man, exactly, times 2^expo rounded to
     significant + 20 digits; the product is rounded there, then to
-    significant digits.  The context of each significant and the power of
-    each (expo, significant) are made once and reused (`_decimal_context`,
-    `_power_of_two`), and a negative value is negated exactly."""
+    significant digits, half to even whatever the caller's decimal context
+    is, so the format has no digit left to round.  The contexts and the
+    power of each (expo, significant) are made once and reused
+    (`_decimal_context`, `_power_of_two`), and a negative value is negated
+    exactly."""
     r = _as_real(x)
     if r.raw == fnan:
         return "nan"
@@ -455,7 +457,8 @@ def format_real(x: Scalar, significant: int = 12) -> str:
     if r.raw == fzero:
         return "0"
     sign, man, expo, _ = r.raw
-    d = _decimal_context(significant).multiply(int(man), _power_of_two(expo, significant))
+    d = _decimal_context(significant + 20).multiply(int(man), _power_of_two(expo, significant))
+    d = _decimal_context(significant).plus(d)
     return format(d.copy_negate() if sign else d, f".{significant}g")
 
 

@@ -10,19 +10,20 @@ chosen, so the pool is pruned once (`vectors._undominated` proves it;
 `vectors.undominated_candidates` streams it over a target's pool).  At a fixed
 q the vectors on their falling branch are in log x order and the others
 in log Y order, so `profile` sweeps the grid upward and draws the L order
-as a lazy merge of two lists sorted once.  The merge runs on doubles with
-a proven error bound, as adaptive geometric predicates do (Shewchuk 1997):
-L at the working precision is taken only for the picks and for the
-near-ties the doubles cannot order.
+by merging, in one loop, two lists sorted once.  The merge runs on doubles
+with a proven error bound, as adaptive geometric predicates do (Shewchuk
+1997): L at the working precision is taken only for the picks and for the
+near-ties the doubles cannot order, and the same bound picks the branch
+it is taken on.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from functools import cmp_to_key, lru_cache
-from heapq import heappop, heappush, merge
+from heapq import heappop, heappush
 from math import inf
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath.libmp import fnan, from_int, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_sub, to_float
 
@@ -54,26 +55,46 @@ class ProfileSample(NamedTuple):
 def _q_over_n(q: tuple, bits: int, n: int) -> tuple:
     """The raw q / n for a raw q at bits, as the PrecisionReal operator
     gives it: n taken at bits, the quotient rounded once there.  Cached, so
-    a grid point costs one division however many vectors are scored at it."""
+    that `vector_L` at one q and n divides once."""
     return mpf_div(q, from_int(n, bits, RND), bits, RND)
 
 
-def vector_L(v: ApproxVector, q: Scalar, n: int) -> PrecisionReal:
-    """max(log x - q, log Y + q/n) at the working precision: each branch is
-    rounded once at the larger of its two precisions, as the PrecisionReal
-    operators round it, and only the larger branch is wrapped."""
-    qr = q if isinstance(q, PrecisionReal) else PrecisionReal(q, v.precision_bits)
-    q_bits = qr.precision_bits
+def _logs(v: ApproxVector) -> tuple:
+    """v's (raw log x, its bits, raw log Y, its bits), as `_exact_L` takes them."""
     log_x, log_Y = v.log_x, v.log_Y
-    fall_bits = log_x.precision_bits if log_x.precision_bits > q_bits else q_bits
-    rise_bits = log_Y.precision_bits if log_Y.precision_bits > q_bits else q_bits
-    fall = mpf_sub(log_x.raw, qr.raw, fall_bits, RND)
-    rise = mpf_add(log_Y.raw, _q_over_n(qr.raw, q_bits, n), rise_bits, RND)
+    return log_x.raw, log_x.precision_bits, log_Y.raw, log_Y.precision_bits
+
+
+def _exact_L(logs: tuple, q: tuple, q_n: tuple, q_bits: int, branch: int = 0) -> PrecisionReal:
+    """L = max(log x - q, log Y + q/n) at the working precision, on raw
+    values: logs as `_logs` gives them, q the raw q at q_bits and q_n the
+    raw q / n of `_q_over_n`.  Each branch is rounded once at the larger of
+    its two precisions, as the PrecisionReal operators round it, and the
+    falling branch is L only where it is strictly the larger.  A branch of
+    1 or -1 states that the falling or the rising branch is strictly the
+    larger, and only that one is computed."""
+    log_x, x_bits, log_Y, y_bits = logs
+    if branch >= 0:
+        fall_bits = x_bits if x_bits > q_bits else q_bits
+        fall = mpf_sub(log_x, q, fall_bits, RND)
+        if branch:
+            return PrecisionReal._make(fall, fall_bits)
+    rise_bits = y_bits if y_bits > q_bits else q_bits
+    rise = mpf_add(log_Y, q_n, rise_bits, RND)
+    if branch:
+        return PrecisionReal._make(rise, rise_bits)
     if fall == fnan or rise == fnan:
         raise ValueError("ordering comparison with NaN")
     if mpf_cmp(fall, rise) > 0:
         return PrecisionReal._make(fall, fall_bits)
     return PrecisionReal._make(rise, rise_bits)
+
+
+def vector_L(v: ApproxVector, q: Scalar, n: int) -> PrecisionReal:
+    """max(log x - q, log Y + q/n) at the working precision (`_exact_L`)."""
+    qr = q if isinstance(q, PrecisionReal) else PrecisionReal(q, v.precision_bits)
+    q_raw, q_bits = qr.raw, qr.precision_bits
+    return _exact_L(_logs(v), q_raw, _q_over_n(q_raw, q_bits, n), q_bits)
 
 
 def vector_min_point(v: ApproxVector, n: int) -> Tuple[PrecisionReal, PrecisionReal]:
@@ -86,41 +107,6 @@ def crossing_q(rising: ApproxVector, falling: ApproxVector, n: int) -> Precision
     """Parameter where the rising branch of one vector meets the falling
     branch of another: n (log x_fall - log Y_rise) / (n+1)."""
     return n * (falling.log_x - rising.log_Y) / (n + 1)
-
-
-def _draws(
-    falling: Sequence[Tuple[float, int]],
-    rising: Sequence[Tuple[float, int]],
-    fx: Sequence[float],
-    fy: Sequence[float],
-    qf: float,
-    qnf: float,
-) -> Iterator[Tuple[float, int]]:
-    """(float L, rank) of every vector on the lists, float L nondecreasing:
-    the lists merged lazily on their branch keys fx - qf and fy + qnf,
-    each vector held back until its float L, the larger branch, comes up."""
-    held: List[Tuple[float, int]] = []
-    for key, r in merge(((k - qf, r) for k, r in falling), ((k + qnf, r) for k, r in rising)):
-        fall, rise = fx[r] - qf, fy[r] + qnf
-        heappush(held, (fall if fall > rise else rise, r))
-        while held and held[0][0] <= key:  # no later key is below key
-            yield heappop(held)
-    while held:
-        yield heappop(held)
-
-
-def _runs(draws: Iterator[Tuple[float, int]], gap: float) -> Iterator[List[int]]:
-    """The ranks of the draws in runs, a new run wherever float L steps up
-    by more than gap; a run is yielded once the draw after it is seen."""
-    run: List[int] = []
-    last = 0.0
-    for L, r in draws:
-        if run and L - last > gap:
-            yield run
-            run = []
-        run.append(r)
-        last = L
-    yield run
 
 
 def profile(
@@ -142,20 +128,23 @@ def profile(
     every one of them.  The result upper-bounds the true lattice profile
     when the pool is incomplete and is exact for the pool itself.
 
-    The order is decided in doubles.  Each kept vector gets fx and fy,
-    the doubles of its log x and log Y, once; a unit vector has fx = -inf.
-    The grid is swept upward.  The vectors start on a falling list in fx
-    order and each moves once to a rising list in fy order, at the first q
-    at or above its float q_v, n (fx - fy) / (n + 1).  At each q, with qf
-    and qnf the doubles of q and of the q/n that `vector_L` uses, the lists
-    are merged lazily on their keys fx - qf and fy + qnf (`_draws`).  A
-    key is never above the float L, max(fx - qf, fy + qnf), and a vector
-    is held back until its float L comes up, so the draws come in float L
-    order whichever list a vector is on.
+    The order is decided in doubles.  Each kept vector gets its raw logs
+    (`_logs`) and fx and fy, the doubles of its log x and log Y, once; a
+    unit vector has fx = -inf.  The grid is swept upward.  The vectors
+    start on a falling list in fx order and each moves once to a rising
+    list in fy order, at the first q at or above its float q_v,
+    n (fx - fy) / (n + 1).  At each q, with qf and qnf the doubles of q
+    and of the q/n that `_exact_L` uses, the two lists are merged in place
+    on their keys fx - qf and fy + qnf, ties by rank.  A key is never
+    above the float L, max(fx - qf, fy + qnf), and a merged vector is held
+    back on a heap until its float L is at most the last key, as no later
+    key is below it, or until both lists are spent; so the vectors are
+    drawn in float L order whichever list they are on, and only until
+    n + 1 are chosen.
 
     Float L is within delta of L.  A branch value is a - b, with a = log x
     and b = q, or a + b, with a = log Y and b the working value of q/n
-    that `vector_L` also uses; |b| <= |q|.  The working precision rounds
+    that `_exact_L` also uses; |b| <= |q|.  The working precision rounds
     it once, at p bits or more (p is q's precision), with relative error
     at most 2^-p.  Its double takes float(a) and float(b), each truncated
     with relative error below 2^-52, and one subtraction or addition
@@ -165,17 +154,28 @@ def profile(
         delta = (M + |qf|)(2^-50 + 2^(1-p)) + 2^-1020
     is twice that for |a| + |b| = M + |qf|: the factor 2 covers the
     truncation of M and qf and the four roundings in computing delta, and
-    2^-1020 any underflow.  A max of two values moves by no more than they
-    do, so |float L - L| <= delta.
+    2^-1020 any underflow.  Each branch is thus within delta of its
+    double, and a max of two values moves by no more than they do, so
+    |float L - L| <= delta.
 
     So two draws whose float L differ by more than 2 delta are in exact L
-    order.  The draws are cut into runs wherever float L steps up by more
-    than 2 delta (`_runs`), and every run precedes the next in the exact
-    order.  A single draw is offered to the basis and scored by
-    `vector_L` only if chosen; a longer run is scored in full and offered
-    in (L, rank) order, rank being the (x, y, index) order.  Exact L is
-    thus taken only for picks and near-ties, until n + 1 independent
-    vectors are chosen.
+    order, and the draws are cut into runs wherever float L steps up by
+    more than 2 delta: every run precedes the next in the exact order.  A
+    single draw is offered to the basis and scored only if chosen; a
+    longer run is scored in full and offered in (L, rank) order, rank
+    being the (x, y, index) order.  Exact L is thus taken only for picks
+    and near-ties.  The same bound picks the branch: where a vector's
+    float falling branch exceeds its float rising one by more than
+    2 delta, the working falling branch exceeds the float one less delta,
+    which exceeds the float rising one plus delta, which is at least the
+    working rising branch; so the falling branch is strictly the larger,
+    and the other way round, and `_exact_L` computes that branch alone.
+    Both are computed only within 2 delta or for a NaN, as a NaN fails
+    every comparison.  The members of a run that are all certain of one
+    branch and share its raw log (log x falling, log Y rising) and that
+    log's precision round the same operands at the same precision: they
+    have one exact L, so rank alone orders them, and it is computed once,
+    at the first pick.
 
     Independence is tested once per call for each (S, r), S the set of
     vectors chosen before kept vector r is offered.  Whether r lies in the
@@ -188,10 +188,11 @@ def profile(
     pool = list(candidates)
     kept = _undominated(pool, n)
     vecs = [pool[i] for i in kept]
-    fx = [float(v.log_x) for v in vecs]
-    fy = [float(v.log_Y) for v in vecs]
+    logs = [_logs(v) for v in vecs]
+    fx = [to_float(lg[0]) for lg in logs]
+    fy = [to_float(lg[2]) for lg in logs]
     M = max(abs(f) for f in fx + fy if f != -inf)
-    falling = sorted(zip(fx, range(len(vecs))))
+    falling = sorted(zip(fx, range(len(kept))))
     rising: List[Tuple[float, int]] = []
     moves = sorted(((n * (x - y) / (n + 1), r) for r, (x, y) in enumerate(zip(fx, fy))), reverse=True)
 
@@ -208,33 +209,68 @@ def profile(
         return found
 
     samples: List[ProfileSample] = []
-    prev: Optional[PrecisionReal] = None
+    prev: Optional[tuple] = None
     for q_in in q_grid:
         q = q_in if isinstance(q_in, PrecisionReal) else PrecisionReal(q_in, pool[0].precision_bits)
-        if prev is not None and not q > prev:
+        q_raw, q_bits = q.raw, q.precision_bits
+        if q_raw == fnan:
+            raise ValueError("ordering comparison with NaN")
+        if prev is not None and mpf_cmp(q_raw, prev) <= 0:
             raise ValueError("q_grid must be strictly increasing")
-        prev = q
-        qf, qnf = float(q), to_float(_q_over_n(q.raw, q.precision_bits, n))
+        prev = q_raw
+        q_n = _q_over_n(q_raw, q_bits, n)
+        qf, qnf = to_float(q_raw), to_float(q_n)
         while moves and moves[-1][0] <= qf:
             r = moves.pop()[1]
             del falling[bisect_left(falling, (fx[r], r))]
             insort(rising, (fy[r], r))
-        gap = 2 * ((M + abs(qf)) * (2.0**-50 + 2.0 ** (1 - q.precision_bits)) + 2.0**-1020)
+        gap = 2 * ((M + abs(qf)) * (2.0**-50 + 2.0 ** (1 - q_bits)) + 2.0**-1020)
         chosen: List[Tuple[PrecisionReal, int]] = []
         chosen_set = 0
-        for run in _runs(_draws(falling, rising, fx, fy, qf, qnf), gap):
-            if len(run) == 1:
-                r = run[0]
-                if independent(chosen_set, r):
-                    chosen.append((vector_L(vecs[r], q, n), kept[r]))
-                    chosen_set |= 1 << r
-            else:  # a near-tie: exact L orders it, equal L by rank
-                for L_val, r in sorted((vector_L(vecs[r], q, n), r) for r in run):
+        held: List[Tuple[float, int, int]] = []  # (float L, rank, branch), merged, not drawn
+        run: List[Tuple[float, int, int]] = []  # the draws since the last cut
+        i = j = 0
+        key = -inf  # the last merged key
+        while True:
+            if held and held[0][0] <= key:
+                draw = heappop(held)
+            elif i < len(falling) or j < len(rising):
+                if j == len(rising) or (
+                    i < len(falling) and (falling[i][0] - qf, falling[i][1]) < (rising[j][0] + qnf, rising[j][1])
+                ):
+                    key, r = falling[i][0] - qf, falling[i][1]
+                    i += 1
+                else:
+                    key, r = rising[j][0] + qnf, rising[j][1]
+                    j += 1
+                fall, rise = fx[r] - qf, fy[r] + qnf
+                branch = 1 if fall - rise > gap else -1 if rise - fall > gap else 0
+                heappush(held, (fall if fall > rise else rise, r, branch))
+                continue
+            else:  # both lists are spent: the held-back vectors come last
+                draw = heappop(held) if held else None
+            if run and (draw is None or draw[0] - run[-1][0] > gap):
+                # a single draw or a run on one branch value has one L, taken
+                # at its first pick; a near-tie's exact L orders it, equal L by rank
+                _, r, b = run[0]
+                scored: Iterable[Tuple[Optional[PrecisionReal], int]] = ((None, r),)
+                if len(run) > 1:
+                    k = 0 if b > 0 else 2  # where logs holds the certain branch's log
+                    one = b and all(c == b and logs[s][k : k + 2] == logs[r][k : k + 2] for _, s, c in run)
+                    scored = sorted((None if one else _exact_L(logs[s], q_raw, q_n, q_bits, c), s) for _, s, c in run)
+                L_one = None
+                for L_val, r in scored:
                     if len(chosen) <= n and independent(chosen_set, r):
+                        if L_val is None:
+                            L_val = L_one = _exact_L(logs[r], q_raw, q_n, q_bits, b) if L_one is None else L_one
                         chosen.append((L_val, kept[r]))
                         chosen_set |= 1 << r
-            if len(chosen) > n:
+                if len(chosen) > n:
+                    break
+                run = []
+            if draw is None:
                 break
+            run.append(draw)
         samples.append(
             ProfileSample(
                 q=q,

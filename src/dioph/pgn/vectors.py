@@ -11,7 +11,7 @@ from math import inf
 from operator import attrgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from mpmath.libmp import from_man_exp, mpf_cmp
+from mpmath.libmp import fnan, from_man_exp, mpf_cmp
 
 from ..numerics import DEFAULT_PRECISION_BITS, RND, PrecisionReal, Scalar, _positive_bits, log
 from .intrank import IntBasis
@@ -259,11 +259,24 @@ def enumerate_candidates(target: TargetPoint, x_max: int, widen: int = 0) -> Lis
 class _Frontier:
     """The pruning rule: the least-Y basis of the vectors offered so far,
     at most n + 1 independent vectors chosen greedily by Y, and a vector
-    is kept iff it joins that basis (proved at `_undominated`)."""
+    is kept iff it joins that basis (proved at `_undominated`).
+
+    The basis is kept in Y order, a tie in the order offered, as a stable
+    sort of the offered vectors by Y gives it, with one `IntBasis` per
+    prefix; prefixes share their rows (`IntBasis.copy`).  A vector v comes
+    after the k members with Y no larger.  The greedy by Y over the basis
+    and v chooses those k first, as before, and then v iff v is
+    independent of prefix k, one `try_add`.  If v is dependent, the greedy
+    goes on as it did without v and the basis is unchanged.  If v joins,
+    the members after it are offered again in order, each against the
+    prefix before it; at most one of them, in the circuit v closes, is
+    dropped.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.basis: List[ApproxVector] = []  # increasing Y
+        self._spans = [IntBasis(n + 1)]  # _spans[k] holds basis[:k]
 
     @property
     def ceiling(self) -> Optional[tuple]:
@@ -271,15 +284,30 @@ class _Frontier:
         return self.basis[-1].Y.raw if len(self.basis) == self.n + 1 else None
 
     def offer(self, v: ApproxVector) -> bool:
-        """Rebuild the basis with v and return whether v joined it; a full
-        basis spans every vector, so v joins it only below its largest Y."""
+        """Offer v to the basis and return whether it joined; a full basis
+        spans every vector, so v joins it only below its largest Y."""
+        Y = v.Y.raw
+        if Y == fnan:
+            raise ValueError("ordering comparison with NaN")
         top = self.ceiling
-        if top is not None and mpf_cmp(v.Y.raw, top) >= 0:
+        if top is not None and mpf_cmp(Y, top) >= 0:
             return False
-        ints = IntBasis(self.n + 1)
-        by_Y = sorted(self.basis + [v], key=attrgetter("Y"))
-        self.basis = [u for u in by_Y if ints.try_add(u.ints())]
-        return v in self.basis  # by identity
+        k = len(self.basis)
+        while k and mpf_cmp(self.basis[k - 1].Y.raw, Y) > 0:
+            k -= 1
+        span = self._spans[k].copy()
+        if not span.try_add(v.ints()):
+            return False
+        later = self.basis[k:]
+        del self.basis[k:], self._spans[k + 1 :]
+        self.basis.append(v)
+        self._spans.append(span)
+        for u in later:
+            span = span.copy()  # a dropped u leaves it as it was
+            if span.try_add(u.ints()):
+                self.basis.append(u)
+                self._spans.append(span)
+        return True
 
 
 def _undominated(pool: Sequence[ApproxVector], n: int) -> List[int]:

@@ -7,8 +7,9 @@ reads only the operands' raw mpf and precision, so it holds whichever path
 the wrapper takes to the result, the memo of small ints' exact raws too.
 
 ``reference_format_real`` is format_real as it ran in a fresh
-``decimal.localcontext`` per call, verbatim; the two must print the same
-string for every value.
+``decimal.localcontext`` per call, with that context made whole and
+half-even so that the caller's context does not reach it; the two must
+print the same string for every value.
 """
 
 import copy
@@ -248,10 +249,12 @@ def reference_format_real(x, significant: int = 12) -> str:
     import decimal
 
     sign, man, expo, _ = r.raw
-    with decimal.localcontext() as ctx:
-        ctx.prec = significant + 20
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
+    # a whole context, not the caller's with changes: its rounding is
+    # half-even whatever the caller's is
+    ctx = decimal.Context(
+        prec=significant + 20, rounding=decimal.ROUND_HALF_EVEN, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+    )
+    with decimal.localcontext(ctx):
         d = decimal.Decimal(int(man)) * (decimal.Decimal(2) ** expo)
         if sign:
             d = -d
@@ -297,3 +300,22 @@ def test_format_real_matches_the_reference(x, significant):
 def test_format_real_matches_the_reference_at(value, significant):
     x = PR(value, 256)
     assert format_real(x, significant) == reference_format_real(x, significant)
+
+
+@pytest.mark.parametrize("rounding", ["ROUND_DOWN", "ROUND_HALF_UP", "ROUND_UP", "ROUND_CEILING", "ROUND_05UP"])
+def test_format_real_rounds_half_even_in_any_caller_context(rounding):
+    # the caller's rounding, precision, exponent range and traps reach
+    # neither format_real nor the reference
+    import decimal
+
+    values = ["2.5", "3.5", "-2.5", "123456789012.5", "123456789013.5", "0.1", "-1e-400000000"]
+    expect = [(format_real(PR(v, 256), 1), format_real(PR(v, 256), 12)) for v in values]
+    assert [e[0] for e in expect[:3]] == ["2", "4", "-2"]
+    with decimal.localcontext() as ctx:
+        ctx.rounding = getattr(decimal, rounding)
+        ctx.prec, ctx.Emax, ctx.Emin = 3, 10, -10
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        for v, pair in zip(values, expect):
+            x = PR(v, 256)
+            assert (format_real(x, 1), format_real(x, 12)) == pair
+            assert (reference_format_real(x, 1), reference_format_real(x, 12)) == pair

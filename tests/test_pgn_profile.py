@@ -9,7 +9,7 @@ import dioph.numerics
 from dioph import pgn
 from dioph.numerics import NAMED_CONSTANTS, PrecisionReal, e_value, golden_value
 from dioph.numerics import exp as nexp, log as nlog
-from dioph.pgn.vectors import _next_near, _undominated
+from dioph.pgn.vectors import _Frontier, _next_near, _undominated
 from dioph.suites import exhaustive_minmax, thinned_pool
 
 PR = PrecisionReal
@@ -243,27 +243,34 @@ class TestMergeTies:
         assert sample.witnesses[:2] == (1, 0)
         assert (sample.L, sample.witnesses) == full_pool_greedy(pool, q, n)
 
-    def test_vector_L_calls_per_q(self, monkeypatch):
-        # exact L is taken for the 3 picks at each of the 218 grid points and
-        # for the near-ties the doubles cannot order, not for every kept
-        # vector at each q (11,118 calls when 51 were kept) nor for every
-        # drawn one (822)
+    @pytest.mark.parametrize(
+        "name, n, x_max, sizes",
+        [("e", 2, 10**4, (40, 218, 653)), ("pi", 3, 3 * 10**4, (171, 226, 898))],
+        ids=["e_n2", "pi_n3"],
+    )
+    def test_exact_L_calls_per_q(self, monkeypatch, name, n, x_max, sizes):
+        # exact L is taken for the n + 1 picks at each grid point and for
+        # the near-ties the doubles cannot order, not for every kept vector
+        # at each q (11,118 calls for e when 51 were kept) nor for every
+        # drawn one (822); a near-tie on one branch value, as vectors of
+        # one x on their falling branch or of one Y on their rising one,
+        # takes one call, or none if no member is picked (662 and 1,216
+        # calls before), so a shared call can serve two picks
         profile_module = sys.modules["dioph.pgn.profile"]
         calls = 0
-        exact = profile_module.vector_L
+        exact = profile_module._exact_L
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return exact(*args)
 
-        monkeypatch.setattr(profile_module, "vector_L", counted)
-        t = pgn.TargetPoint.veronese(e_value(), 2)
-        kept, _ = pgn.undominated_candidates(t, 10**4, widen=1)
-        grid = pgn.build_q_grid(pgn.minimal_points(kept), 2, nlog(PR(10**4)))
-        pgn.profile(kept, grid, 2)
-        assert (len(kept), len(grid), calls) == (40, 218, 662)
-        assert calls >= 3 * len(grid)
+        monkeypatch.setattr(profile_module, "_exact_L", counted)
+        t = pgn.TargetPoint.veronese(NAMED_CONSTANTS[name](256), n)
+        kept, _ = pgn.undominated_candidates(t, x_max, widen=1)
+        grid = pgn.build_q_grid(pgn.minimal_points(kept), n, nlog(PR(x_max)))
+        pgn.profile(kept, grid, n)
+        assert (len(kept), len(grid), calls) == sizes
 
 
 @st.composite
@@ -296,22 +303,57 @@ def test_shuffled_pool_matches_full_pool_greedy(case, grid):
         assert (s.L, s.witnesses) == full_pool_greedy(pool, s.q, n)
 
 
-class CeilingFrontier:
-    """The reference prune: `vectors._Frontier` before the span rule, which
-    dropped a vector only when the basis was full and the vector's Y was
-    at least its largest Y."""
+class RebuildFrontier:
+    """The reference frontier: `vectors._Frontier.offer` before it kept a
+    basis per prefix, which sorted the basis and v by Y and rebuilt the
+    basis from scratch on every offer that passed the ceiling."""
 
     def __init__(self, n):
         self.n = n
         self.basis = []
 
+    def above_ceiling(self, v):
+        return len(self.basis) == self.n + 1 and v.Y >= self.basis[-1].Y
+
     def offer(self, v):
-        if len(self.basis) == self.n + 1 and v.Y >= self.basis[-1].Y:
+        if self.above_ceiling(v):
             return False
         ints = pgn.IntBasis(self.n + 1)
         by_Y = sorted(self.basis + [v], key=lambda u: u.Y)
         self.basis = [u for u in by_Y if ints.try_add(u.ints())]
-        return True
+        return v in self.basis  # by identity
+
+
+class CeilingFrontier(RebuildFrontier):
+    """The reference prune: `vectors._Frontier` before the span rule, which
+    dropped a vector only when the basis was full and the vector's Y was
+    at least its largest Y."""
+
+    def offer(self, v):
+        # an offer that v does not join leaves the basis as it was
+        return super().offer(v) or not self.above_ceiling(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tied_pools(), order=st.randoms(use_true_random=False))
+def test_frontier_matches_the_rebuild(case, order):
+    # repeated Y, repeated and dependent vectors, offered in the stream's
+    # order and in a shuffled one: the same answer to every offer and the
+    # same basis, in the same order, after it
+    n, pool = case
+    shuffled = pool[:]
+    order.shuffle(shuffled)
+    for offered in ([pool[i] for i in stream_order(pool)], shuffled):
+        frontier, reference = _Frontier(n), RebuildFrontier(n)
+        for v in offered:
+            assert frontier.offer(v) == reference.offer(v)
+            assert [id(u) for u in frontier.basis] == [id(u) for u in reference.basis]
+
+
+def test_frontier_rejects_a_nan_error():
+    frontier = _Frontier(1)
+    with pytest.raises(ValueError, match="NaN"):
+        frontier.offer(pgn.ApproxVector(1, (1,), PR(float("nan")), 256))
 
 
 def stream_order(pool):

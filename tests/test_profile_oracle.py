@@ -20,11 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dioph import pgn
-from dioph.numerics import PrecisionReal, Scalar, e_value
+from dioph.numerics import NAMED_CONSTANTS, PrecisionReal, Scalar, e_value
 from dioph.numerics import exp as nexp, log as nlog
 from dioph.pgn import ApproxVector, IntBasis, ProfileSample, crossing_q, vector_L
-from dioph.pgn.profile import _draws
+from dioph.pgn.profile import _exact_L, _logs, _q_over_n
 from dioph.pgn.vectors import _undominated
+from conftest import moment_vector
 from test_pgn_profile import tied_pools
 
 PR = PrecisionReal
@@ -193,8 +194,19 @@ COARSE_TIE = [
 ]
 
 
+# n = 2 at q_v of (1, 1, 1), the last vector of the rising list: its float
+# L is its falling branch, a double above its key and the others' L, so it
+# is still held back when both lists are spent
+HELD_LAST = [
+    (1, (1, 1), (8, 0, 60), (0, 0, 60)),
+    (0, (1, 0), None, (0, 0, 60)),
+    (0, (0, 1), None, (0, 0, 60)),
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=cases())
+@example(case=(2, 53, HELD_LAST, [("qv", 0, 0)]))
 @example(case=(1, 256, STRADDLE, [("at", 4)]))
 @example(case=(1, 256, near_tie(47), [("at", 4)]))  # inside 2 delta
 @example(case=(1, 256, near_tie(46), [("at", 4)]))  # outside 2 delta
@@ -208,25 +220,58 @@ def test_profile_matches_the_reference(case):
     assert outcome(pgn.profile, pool, qs, n) == expect
 
 
+def recorded_draws(monkeypatch):
+    """The (float L, rank, branch) draws of every profile call, recorded as
+    profile pops them off its heap of merged vectors."""
+    profile_module = sys.modules["dioph.pgn.profile"]
+    draws = []
+    pop = profile_module.heappop
+
+    def recorded(heap):
+        draws.append(pop(heap))
+        return draws[-1]
+
+    monkeypatch.setattr(profile_module, "heappop", recorded)
+    return draws
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    logs=st.lists(
-        st.tuples(st.floats(-50, 50) | st.just(float("-inf")), st.floats(-50, 50), st.booleans()),
-        min_size=1,
-        max_size=12,
-    ),
-    q=st.floats(-20, 20),
+    logs=st.lists(st.tuples(st.floats(-50, 50) | st.just(float("-inf")), st.floats(-50, 50)), min_size=4, max_size=12),
+    at=st.integers(0, 11) | st.floats(-20, 20),
     n=st.integers(1, 3),
+    bits=st.sampled_from([24, 53, 256]),
 )
-def test_draws_come_in_float_L_order_from_either_list(logs, q, n):
-    # a vector may sit on the list of its smaller branch: it is held back
-    # until its float L comes up, so each vector is drawn once, in order
-    fx, fy = [lx for lx, _, _ in logs], [ly for _, ly, _ in logs]
-    falling = sorted((fx[r], r) for r, (_, _, up) in enumerate(logs) if not up)
-    rising = sorted((fy[r], r) for r, (_, _, up) in enumerate(logs) if up)
-    drawn = list(_draws(falling, rising, fx, fy, q, q / n))
-    assert sorted(r for _, r in drawn) == list(range(len(logs)))
-    assert [L for L, _ in drawn] == sorted(max(fx[r] - q, fy[r] + q / n) for r in range(len(logs)))
+@example(logs=[(1.0, 0.0), (float("-inf"), 0.0), (float("-inf"), 0.0), (float("-inf"), 0.0)], at=0, n=2, bits=53)
+def test_draws_come_in_float_L_order_with_certified_branches(logs, at, n, bits):
+    # moment vectors are independent n + 1 at a time, so every vector is
+    # drawn until n + 1 are chosen; a grid point at a vector's own q_v
+    # leaves vectors on the list of their smaller branch, to be held back
+    # until their float L comes up.  Each draw is in float L order, and a
+    # branch it names is the larger one at the working precision.
+    pool = [
+        ApproxVector(i + 1, moment_vector(i + 1, n)[1:], nexp(PR(ly, bits)), bits, log_x=PR(lx, bits), log_Y=PR(ly, bits))
+        for i, (lx, ly) in enumerate(logs)
+    ]
+    vecs = [pool[i] for i in _undominated(pool, n)]
+    if isinstance(at, int):
+        q = crossing_q(vecs[at % len(vecs)], vecs[at % len(vecs)], n)
+        if not q.is_finite:
+            return
+    else:
+        q = PR(at, bits)
+    q_n = _q_over_n(q.raw, q.precision_bits, n)
+    qf, qnf = float(q), float(PR._make(q_n, q.precision_bits))
+    with pytest.MonkeyPatch.context() as patch:
+        draws = recorded_draws(patch)
+        pgn.profile(pool, [q], n)
+    floats = sorted(max(float(v.log_x) - qf, float(v.log_Y) + qnf) for v in vecs)
+    assert [L for L, _, _ in draws] == floats[: len(draws)]
+    assert len({r for _, r, _ in draws}) == len(draws) >= min(n + 1, len(vecs))
+    for _, r, branch in draws:
+        whole = _exact_L(_logs(vecs[r]), q.raw, q_n, q.precision_bits)
+        certain = _exact_L(_logs(vecs[r]), q.raw, q_n, q.precision_bits, branch)
+        assert (certain.raw, certain.precision_bits) == (whole.raw, whole.precision_bits)
 
 
 @pytest.mark.parametrize("e, scored", [(47, [1, 3, 2]), (46, [1, 3])], ids=["inside", "outside"])
@@ -234,15 +279,16 @@ def test_exact_L_only_for_picks_and_near_ties(monkeypatch, e, scored):
     # within 2 delta of (3, 1), (2, 1) is scored with it; beyond, it is
     # drawn after the last pick but never scored
     profile_module = sys.modules["dioph.pgn.profile"]
-    xs = []
-    exact = profile_module.vector_L
-
-    def counted(v, q, n):
-        xs.append(v.x)
-        return exact(v, q, n)
-
-    monkeypatch.setattr(profile_module, "vector_L", counted)
     pool, qs = build_case(1, 256, near_tie(e), [("at", 4)])
+    x_of = {_logs(v): v.x for v in pool}
+    xs = []
+    exact = profile_module._exact_L
+
+    def counted(logs, *args):
+        xs.append(x_of[logs])
+        return exact(logs, *args)
+
+    monkeypatch.setattr(profile_module, "_exact_L", counted)
     assert pgn.profile(pool, qs, 1)[0].witnesses == (0, 2)
     assert xs == scored
     monkeypatch.undo()
@@ -301,3 +347,19 @@ def test_one_independence_test_per_set_and_vector(monkeypatch):
     assert outcome(pgn.profile, kept, grid, 2) == expect
     # the sweep's calls are those beyond the pruning's, which profile runs first
     assert (len(grid), len(tests), len(set(tests)), calls - pruning) == (218, 728, 93, 93)
+
+
+@pytest.mark.parametrize("bits", [24, 53, 64])
+@pytest.mark.parametrize("name, n, x_max", [("golden", 1, 30000), ("e", 2, 10**4)])
+def test_real_pools_match_the_reference_where_delta_is_widest(name, n, x_max, bits):
+    # at p <= 64 bits the 2^(1-p) term dominates delta, so runs and
+    # certified branches are cut closest to the roundings; every grid
+    # point's L, by raw value and precision, and witnesses agree
+    t = pgn.TargetPoint.veronese(NAMED_CONSTANTS[name](bits), n)
+    kept, _ = pgn.undominated_candidates(t, x_max, widen=1)
+    grid = pgn.build_q_grid(pgn.minimal_points(kept), n, nlog(PR(x_max, bits)), count=2000)
+    got, expect = (
+        [(s.q.raw, [(L.raw, L.precision_bits) for L in s.L], s.witnesses) for s in profile_fn(kept, grid, n)]
+        for profile_fn in (pgn.profile, reference_profile)
+    )
+    assert len(grid) > 2000 and got == expect
