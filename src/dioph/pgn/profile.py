@@ -6,8 +6,9 @@ profile value at q is the min-max over independent j-tuples, computed
 exactly by greedy selection in increasing L order (linear independence is
 a matroid, so the greedy selection realizes the min-max).  A vector in
 the span of the vectors before it in (x, y) order with Y no larger is never
-chosen, so the pool is pruned once (`vectors._undominated` proves it;
-`vectors.undominated_candidates` streams it over a target's pool).  At a fixed
+chosen, so callers prune the pool once before the profile
+(`vectors._undominated` proves it; `vectors.undominated_candidates`
+streams it over a target's pool).  At a fixed
 q the vectors on their falling branch are in log x order and the others
 in log Y order, so `profile` sweeps the grid upward and draws the L order
 by merging, in one loop, two lists sorted once.  The merge runs on doubles
@@ -29,7 +30,7 @@ from mpmath.libmp import fnan, from_int, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf
 
 from ..numerics import RND, PrecisionReal, Scalar
 from .intrank import IntBasis
-from .vectors import ApproxVector, MinimalPointSequence, _undominated
+from .vectors import ApproxVector, InsufficientRank, MinimalPointSequence
 
 __all__ = [
     "ProfileSample",
@@ -116,19 +117,19 @@ def profile(
 ) -> List[ProfileSample]:
     """Exact min-max profile over the pool at each grid parameter.
 
-    The vectors the greedy can never choose are dropped once
-    (`_undominated`, which proves the rule); at every q the rest are
-    selected greedily in (L, x, y, index) order, L at the working
-    precision, so witnesses index the caller's pool.  Dropping is exact
-    when log_x and log_Y are nondecreasing in x and Y, as for every pool
-    `enumerate_candidates` or `ApproxVector.from_target` builds; a pool of
-    injected logs that breaks this must have at most n + 1 vectors, so
-    that none is dropped.  The kept vectors of `undominated_candidates`
-    give the values of their whole pool, because `_undominated` keeps
-    every one of them.  The result upper-bounds the true lattice profile
-    when the pool is incomplete and is exact for the pool itself.
+    At every q the pool's vectors are selected greedily in (L, x, y,
+    index) order, L at the working precision, so witnesses index the
+    caller's pool.  The greedy is exact on any pool and the pool is taken
+    as given: pruning only saves work.  A caller with a whole pool passes
+    the vectors `vectors._undominated` keeps, which give the values of the
+    whole pool when log_x and log_Y are nondecreasing in x and Y, as for
+    every pool `enumerate_candidates` or `ApproxVector.from_target`
+    builds; `undominated_candidates` streams them.  The result
+    upper-bounds the true lattice profile when the pool is incomplete and
+    is exact for the pool itself.  Raises InsufficientRank at the first q
+    if the pool spans rank below n + 1.
 
-    The order is decided in doubles.  Each kept vector gets its raw logs
+    The order is decided in doubles.  Each vector gets its raw logs
     (`_logs`) and fx and fy, the doubles of its log x and log Y, once; a
     unit vector has fx = -inf.  The grid is swept upward.  The vectors
     start on a falling list in fx order and each moves once to a rising
@@ -150,7 +151,7 @@ def profile(
     with relative error below 2^-52, and one subtraction or addition
     rounded to nearest (2^-53).  So the two differ by less than
     (3 2^-53 + 2^-105 + 2^-p)(|a| + |b|) <= (2^-51 + 2^-p)(|a| + |b|).
-    With M the largest finite |fx| or |fy| of the kept vectors,
+    With M the largest finite |fx| or |fy| of the vectors,
         delta = (M + |qf|)(2^-50 + 2^(1-p)) + 2^-1020
     is twice that for |a| + |b| = M + |qf|: the factor 2 covers the
     truncation of M and qf and the four roundings in computing delta, and
@@ -178,7 +179,7 @@ def profile(
     at the first pick.
 
     Independence is tested once per call for each (S, r), S the set of
-    vectors chosen before kept vector r is offered.  Whether r lies in the
+    vectors chosen before the vector of rank r is offered.  Whether r lies in the
     span of S depends on S and r alone, not on q, so the answer is cached
     for the whole grid, keyed on S as a bitmask of ranks and on r.  A miss
     runs `IntBasis.try_add` on a copy of a cached basis of S; a hit, as at
@@ -186,13 +187,15 @@ def profile(
     needs no integer elimination.
     """
     pool = list(candidates)
-    kept = _undominated(pool, n)
-    vecs = [pool[i] for i in kept]
+    if len(pool) <= n:
+        raise InsufficientRank(f"pool spans rank at most {len(pool)} < {n + 1}")
+    order = sorted(range(len(pool)), key=lambda i: (pool[i].x, pool[i].y, i))  # rank -> index
+    vecs = [pool[i] for i in order]
     logs = [_logs(v) for v in vecs]
     fx = [to_float(lg[0]) for lg in logs]
     fy = [to_float(lg[2]) for lg in logs]
     M = max(abs(f) for f in fx + fy if f != -inf)
-    falling = sorted(zip(fx, range(len(kept))))
+    falling = sorted(zip(fx, range(len(vecs))))
     rising: List[Tuple[float, int]] = []
     moves = sorted(((n * (x - y) / (n + 1), r) for r, (x, y) in enumerate(zip(fx, fy))), reverse=True)
 
@@ -263,13 +266,13 @@ def profile(
                     if len(chosen) <= n and independent(chosen_set, r):
                         if L_val is None:
                             L_val = L_one = _exact_L(logs[r], q_raw, q_n, q_bits, b) if L_one is None else L_one
-                        chosen.append((L_val, kept[r]))
+                        chosen.append((L_val, order[r]))
                         chosen_set |= 1 << r
                 if len(chosen) > n:
                     break
                 run = []
             if draw is None:
-                break
+                raise InsufficientRank(f"pool spans rank {len(chosen)} < {n + 1}")
             run.append(draw)
         samples.append(
             ProfileSample(

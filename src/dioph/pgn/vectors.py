@@ -1,13 +1,14 @@
 """Target points, integer approximation vectors, the candidate pool, and
 minimal-point records.  `enumerate_candidates` lists the pool box by box
-(`_box`); `undominated_candidates` walks the same boxes, keeps what the
-pruning rule (`_Frontier`) keeps and jumps over the boxes it would skip
-(`_next_near`)."""
+(`_box`); `undominated_candidates` streams the same boxes, keeps what the
+pruning rule (`_Frontier`) keeps and, once the rule's bound is tight,
+walks one coordinate's near x by first returns (`_returns`), building a
+box only where every coordinate is near."""
 
 from __future__ import annotations
 
 from itertools import groupby, product
-from math import inf
+from math import gcd, inf
 from operator import attrgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -329,25 +330,19 @@ def _undominated(pool: Sequence[ApproxVector], n: int) -> List[int]:
     return kept
 
 
-def _next_near(Xi: int, E: int, bound: int, x: int) -> int:
-    """The least x' > x with |x' X_i - y 2^E| < bound for some integer y,
-    for 1 <= bound <= 2^(E-1); one exists, as every multiple of 2^E has
-    error 0.
+def _least_multiple(a: int, m: int, lo: int, hi: int) -> int:
+    """The least t >= 0 with a t mod m in the window lo..hi, read mod m,
+    for 0 <= lo < m and lo <= hi < lo + m; the caller ensures that one
+    exists.
 
-    With m = 2^E, a = X_i mod m and x' = x + 1 + t, that is the least
-    t >= 0 with a t mod m in a window [lo, hi] of 2 bound - 1 residues.
-    Unless a multiple of a lies in it, write a t = m s + u with u in the
-    window: the least s has m s mod a in [-hi mod a, -lo mod a], the same
-    problem on (m mod a, a), and t = ceil((lo + m s) / a).  The moduli
-    fall as in Euclid's algorithm and the window keeps its width, so the
-    descent stops once a modulus is no wider than the window.  Each
-    problem has a solution, so an a that divides m has a multiple in the
-    window, and no modulus reached is 0.
+    Unless 0 is in the window (lo = 0 or hi >= m), write a t = m s + u
+    with u in the window: the least s has m s mod a in [-hi mod a, -lo mod
+    a], the same problem on (m mod a, a), and t = ceil((lo + m s) / a).
+    The moduli fall as in Euclid's algorithm and the window keeps its
+    width, so the descent stops once a modulus is no wider than the
+    window.  Each problem has a solution, so an a that divides m has a
+    multiple in the window, and no modulus reached is 0.
     """
-    m = 1 << E
-    a = Xi % m
-    lo = -(a * (x + 1) + bound - 1) % m
-    hi = lo + 2 * bound - 2
     t = 0
     levels = []
     while lo and hi < m:  # 0 is not in the window
@@ -358,7 +353,77 @@ def _next_near(Xi: int, E: int, bound: int, x: int) -> int:
         a, m, lo, hi = m % a, a, -hi % a, -lo % a
     for a, m, lo in reversed(levels):
         t = -(-(lo + m * t) // a)
-    return x + 1 + t
+    return t
+
+
+def _next_near(Xi: int, E: int, bound: int, x: int) -> int:
+    """The least x' > x with |x' X_i - y 2^E| < bound for some integer y,
+    for 1 <= bound <= 2^(E-1); one exists, as every multiple of 2^E has
+    error 0.  With m = 2^E, a = X_i mod m and x' = x + 1 + t, that is the
+    least t >= 0 with a t mod m in a window of 2 bound - 1 residues
+    (`_least_multiple`)."""
+    m = 1 << E
+    a = Xi % m
+    lo = -(a * (x + 1) + bound - 1) % m
+    return x + 1 + _least_multiple(a, m, lo, lo + 2 * bound - 2)
+
+
+def _returns(Xi: int, E: int, bound: int, x: int) -> Iterator[int]:
+    """The x' > x with |x' X_i - y 2^E| < bound for some integer y, in
+    increasing order, for 1 <= bound <= 2^(E-1): the first is
+    `_next_near`'s, and each next one is a first return of a rotation.
+
+    With m = 2^E, a = X_i mod m and l = 2 bound - 1 < m, x' is near iff
+    s(x') = (a x' + bound - 1) mod m is below l, and t steps move s by
+    a t mod m.  Let t1 be the least t >= 1 with a t mod m < l and d1
+    that residue, and t2 the least t >= 1 with a t mod m > m - l and
+    d2 = m minus that residue (`_least_multiple` gives both).  From a
+    near x with s = s(x), the next near x' is x + t1 if s + d1 < l, else
+    x + t2 if s >= d2, else x + t1 + t2: the three-distance theorem (Sos
+    1958; Slater 1967).
+
+    A return t either adds u = a t mod m < l - s to s, so u < l and
+    t >= t1, or wraps, subtracting m - u <= s, so u > m - l and t >= t2.
+    If t1 and t2 both exist, d1 + d2 >= l: else t2 - t1 >= 1 would have
+    residue m - d1 - d2 > m - l below t2, or t1 - t2 >= 1 residue
+    d1 + d2 < l below t1 (t1 = t2 has d1 + d2 = m).
+    (i) If s + d1 < l, t1 returns, and s < l - d1 <= d2, so t2 does not
+        wrap; a t < t1 that wraps has t > t2, and t - t2 has residue
+        u - (m - d2) in [d2 - s, d2 - 1], below l, so t - t2 >= t1.
+    (ii) Else if s >= d2, t2 returns; a t < t2 that adds has t > t1 and
+        u < l - s <= d1, and t - t1 has residue m - (d1 - u) > m - l, so
+        t - t1 >= t2.
+    (iii) Else t1 + t2 moves s to s + d1 - d2, in [l - d2, d1), inside
+        the window; by (i) an earlier t that wraps has t - t2 >= t1, and
+        by (ii) one that adds has t - t1 >= t2.
+
+    The residues a t mod m are the multiples of g = gcd(a, m), with
+    g = m for a = 0.  If g >= l, no nonzero multiple is below l, so
+    d1 = 0, and none is above m - l, so t2 does not exist; then the near
+    x' are those with a x' = 0 mod m, t1 apart, and the rule steps t1
+    from each, as s + d1 = s < l; t2 is not needed.  If g < l, g itself
+    is below l and m - g above m - l, so d1 > 0 and t2 exists.
+    """
+    x = _next_near(Xi, E, bound, x)
+    yield x  # the steps are found only if a second x is asked for
+    m = 1 << E
+    a, width = Xi % m, 2 * bound - 1
+    t1 = 1 + _least_multiple(a, m, -a % m, -a % m + width - 1)
+    d1 = a * t1 % m
+    t2 = d2 = 0
+    if d1:
+        lo = (1 - width - a) % m
+        t2 = 1 + _least_multiple(a, m, lo, lo + width - 2)
+        d2 = m - a * t2 % m
+    s = (a * x + bound - 1) % m
+    while True:
+        if s + d1 < width:
+            x, s = x + t1, s + d1
+        elif s >= d2:
+            x, s = x + t2, s - d2
+        else:
+            x, s = x + t1 + t2, s + d1 - d2
+        yield x
 
 
 def undominated_candidates(
@@ -380,19 +445,27 @@ def undominated_candidates(
     all kept, since no earlier vector has a Y as small.  Raises
     RationalDependence at the pool's first zero error.
 
-    Once that bound B is at most 2^(E-1), a box x with a coordinate at
-    |D_i| >= B is followed by box `_next_near`(X_i, E, B, x): every box
-    between has |D_i| >= B too, so it would be skipped, and B cannot fall
-    before a box is listed.  A zero error has every |D_i| = 0 < B, so it
-    is never jumped over.
+    Once that bound B is at most 2^(E-1), the box at x is listed iff
+    every coordinate is near, |D_i| < B, and B falls only when a box is
+    listed.  So the stream walks one coordinate's near x by first returns
+    (`_returns`, from the x where B last fell), tests each other
+    coordinate there with one multiply-mod, and builds a box only where
+    all are near: exactly the boxes it lists.  It walks the coordinate
+    with the least gcd(X_i, 2^E), never an integer one unless all are,
+    which a zero error at x = 1 rules out.  A zero error has every
+    |D_i| = 0 < B, so it is never walked past.
     """
     p, n, (X, E) = target.precision_bits, target.n, target.scaled()
-    half = (1 << E) >> 1
+    m = 1 << E
+    half = m >> 1
+    walked = min(range(n), key=lambda i: gcd(X[i], m))
+    others = [X[i] % m for i in range(n) if i != walked]
     per = (2 * widen + 1) ** n
     size = n + x_max * per
     frontier = _Frontier(n)
     kept = [v for v in _units(target, x_max, widen) if frontier.offer(v)]
     bound = inf  # the largest basis Y times 2^E once the basis is full
+    returns: Optional[Iterator[int]] = None  # the walk at this bound
     x = 1
     while x <= x_max:
         Ds, count, entries = _box(X, E, widen, x)
@@ -406,10 +479,16 @@ def undominated_candidates(
                     kept.append(v)
                     if frontier.ceiling is not None:
                         _, man, exp, _ = frontier.ceiling
-                        bound = man << (exp + E)
-        # a far coordinate has a window to jump to once B <= 2^(E-1)
-        far = next((i for i, D in enumerate(Ds) if bound <= half and abs(D) >= bound), None)
-        x = x + 1 if far is None else _next_near(X[far], E, bound, x)
+                        bound, returns = man << (exp + E), None
+        if bound > half:
+            x += 1
+            continue
+        if returns is None:
+            returns = _returns(X[walked], E, bound, x)
+        width = 2 * bound - 1
+        for x in returns:
+            if x > x_max or all((x * a + bound - 1) % m < width for a in others):
+                break
     return kept, size
 
 

@@ -29,6 +29,7 @@ from .numerics import (
     log as nlog,
     sqrt,
 )
+from .pgn.vectors import _undominated
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
@@ -443,8 +444,8 @@ def suite_profile(bits: int = 256) -> List[CheckResult]:
     seq = pgn.minimal_points(pool1)
     q_max = nlog(PrecisionReal(PROFILE_X_MAX, bits))
     grid = pgn.build_q_grid(seq, n, q_max, count=40)
-    prof0 = pgn.profile(pool0, grid, n)
-    prof1 = pgn.profile(pool1, grid, n)
+    # the profile of a whole pool is that of the vectors _undominated keeps
+    prof0, prof1 = (pgn.profile([p[i] for i in _undominated(p, n)], grid, n) for p in (pool0, pool1))
 
     sorted_ok = all(
         all(s.L[j] <= s.L[j + 1] for j in range(n)) for s in prof1

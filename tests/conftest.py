@@ -1,11 +1,22 @@
 """Shared helpers: synthetic record sequences with exact geometric schedules,
-and a plain bisection that root-finding tests compare against."""
+a plain bisection that root-finding tests compare against, and the profile
+of a whole pool."""
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import pytest
 
-from dioph import ApproxVector, MinimalPointSequence, PrecisionReal
+from dioph import ApproxVector, MinimalPointSequence, PrecisionReal, ProfileSample, pgn
+from dioph.pgn.vectors import _undominated
+
+
+def pruned_profile(pool: Sequence[ApproxVector], q_grid, n: int) -> List[ProfileSample]:
+    """The profile of a whole pool as its callers take it: over the
+    vectors `_undominated` keeps, with the witnesses mapped back to
+    indices into the pool."""
+    kept = _undominated(pool, n)
+    samples = pgn.profile([pool[i] for i in kept], q_grid, n)
+    return [s._replace(witnesses=tuple(kept[i] for i in s.witnesses)) for s in samples]
 
 
 def bisect_root(f, lo: PrecisionReal, hi: PrecisionReal, tol: PrecisionReal):

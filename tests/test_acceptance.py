@@ -25,6 +25,8 @@ from dioph.suites import (
     thinned_pool,
 )
 
+from conftest import pruned_profile
+
 PR = PrecisionReal
 
 
@@ -202,7 +204,7 @@ def test_criterion_10_golden_ground_truth():
         fib.append(fib[-1] + fib[-2])
     ok = [v.x for v in seq] == fib
     grid = pgn.build_q_grid(seq, 1, nlog(PR(10**4)), count=100)
-    est = pgn.estimate_exponents(seq, pgn.profile(pool, grid, 1), 1)
+    est = pgn.estimate_exponents(seq, pruned_profile(pool, grid, 1), 1)
     ok = ok and abs(est.lambda_est - 1) < PR("0.05") and abs(est.lambda_hat_est - 1) < PR("0.05")
     elapsed = time.perf_counter() - t0
     report(10, "golden-ratio ground truth", ok, elapsed, 5.0,
@@ -217,8 +219,8 @@ def test_criterion_11_minkowski_defect():
     pool1 = pgn.enumerate_candidates(target, 10**4, widen=1)
     seq = pgn.minimal_points(pool0)
     grid = pgn.build_q_grid(seq, 2, nlog(PR(10**4)), count=200)
-    prof0 = pgn.profile(pool0, grid, 2)
-    prof1 = pgn.profile(pool1, grid, 2)
+    prof0 = pruned_profile(pool0, grid, 2)
+    prof1 = pruned_profile(pool1, grid, 2)
     d0 = pgn.minkowski_defect(prof0)
     d1 = pgn.minkowski_defect(prof1)
     half = [s for s in prof1 if s.q >= grid[-1] - (grid[-1] - grid[0]) / 2]

@@ -4,7 +4,7 @@ from dioph import bounds as bd
 from dioph import pgn
 from dioph.numerics import PrecisionReal, e_value, golden_value, liouville_value, log as nlog
 
-from conftest import moment_vector, synthetic_sequence
+from conftest import moment_vector, pruned_profile, synthetic_sequence
 
 PR = PrecisionReal
 
@@ -14,7 +14,7 @@ def golden_run(x_max=10000, grid_count=200):
     pool = pgn.enumerate_candidates(t, x_max, widen=0)
     seq = pgn.minimal_points(pool)
     grid = pgn.build_q_grid(seq, 1, nlog(PR(x_max)), count=grid_count)
-    prof = pgn.profile(pool, grid, 1)
+    prof = pruned_profile(pool, grid, 1)
     return seq, prof
 
 

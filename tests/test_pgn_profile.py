@@ -1,5 +1,5 @@
 import sys
-from unittest import mock
+from itertools import takewhile
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +9,10 @@ import dioph.numerics
 from dioph import pgn
 from dioph.numerics import NAMED_CONSTANTS, PrecisionReal, e_value, golden_value
 from dioph.numerics import exp as nexp, log as nlog
-from dioph.pgn.vectors import _Frontier, _next_near, _undominated
+from dioph.pgn.vectors import _Frontier, _next_near, _returns, _undominated
 from dioph.suites import exhaustive_minmax, thinned_pool
+
+from conftest import pruned_profile
 
 PR = PrecisionReal
 
@@ -92,7 +94,7 @@ class TestProfile:
         pool = pgn.enumerate_candidates(t, 200, widen=1)
         seq = pgn.minimal_points(pool)
         grid = pgn.build_q_grid(seq, 2, nlog(PR(200)), count=15)
-        for s in pgn.profile(pool, grid, 2):
+        for s in pruned_profile(pool, grid, 2):
             rows = [pool[i].ints() for i in s.witnesses]
             assert pgn.int_rank(rows) == 3
             for j in range(3):
@@ -120,12 +122,12 @@ class TestProfile:
         pool = pgn.enumerate_candidates(t, x_max, widen=widen)
         seq = pgn.minimal_points(pool)
         grid = pgn.build_q_grid(seq, n, nlog(PR(x_max)), count=12)
-        for s in pgn.profile(pool, grid, n):
+        for s in pruned_profile(pool, grid, n):
             assert (s.L, s.witnesses) == full_pool_greedy(pool, s.q, n)
 
     def test_exact_logs_only_for_certified_prefixes(self, monkeypatch):
         # exact logs are taken only for records and for the vectors that
-        # survive pruning, not for every pool vector
+        # survive pruning, not for every pool vector; the pruning takes none
         calls = 0
         exact_log = dioph.numerics.log
 
@@ -141,7 +143,7 @@ class TestProfile:
         pool = pgn.enumerate_candidates(t, 10**4, widen=1)
         seq = pgn.minimal_points(pool)
         grid = pgn.build_q_grid(seq, 2, exact_log(PR(10**4)))
-        pgn.profile(pool, grid, 2)
+        pruned_profile(pool, grid, 2)
         assert calls < 0.002 * len(pool)
 
     def test_sorted_and_slope_bounds(self):
@@ -149,7 +151,7 @@ class TestProfile:
         pool = pgn.enumerate_candidates(t, 1000, widen=0)
         seq = pgn.minimal_points(pool)
         grid = pgn.build_q_grid(seq, 1, nlog(PR(1000)), count=60)
-        prof = pgn.profile(pool, grid, 1)
+        prof = pruned_profile(pool, grid, 1)
         for s in prof:
             assert s.L[0] <= s.L[1]
         for a, b in zip(prof, prof[1:]):
@@ -163,8 +165,8 @@ class TestProfile:
         pool1 = pgn.enumerate_candidates(t, 200, widen=1)
         seq = pgn.minimal_points(pool0)
         grid = pgn.build_q_grid(seq, 2, nlog(PR(200)), count=25)
-        p0 = pgn.profile(pool0, grid, 2)
-        p1 = pgn.profile(pool1, grid, 2)
+        p0 = pruned_profile(pool0, grid, 2)
+        p1 = pruned_profile(pool1, grid, 2)
         for a, b in zip(p0, p1):
             for j in range(3):
                 assert b.L[j] <= a.L[j]
@@ -175,7 +177,7 @@ class TestProfile:
         seq = pgn.minimal_points(pool)
         q_max = nlog(PR(500))
         grid = pgn.build_q_grid(seq, 1, q_max, count=30)
-        prof = pgn.profile(pool, grid, 1)
+        prof = pruned_profile(pool, grid, 1)
         for v in seq.points[1:]:
             qk, val = pgn.vector_min_point(v, 1)
             if not qk <= q_max:
@@ -293,14 +295,16 @@ def tied_pools(draw):
     grid=st.lists(st.integers(-16, 24), min_size=1, max_size=4, unique=True),
 )
 def test_shuffled_pool_matches_full_pool_greedy(case, grid):
+    # the pool as given and the vectors _undominated keeps of it
     n, pool = case
     qs = [PR(g) / 4 for g in sorted(grid)]
-    if pgn.int_rank(v.ints() for v in pool) < n + 1:
-        with pytest.raises(pgn.InsufficientRank):
-            pgn.profile(pool, qs, n)
-        return
-    for s in pgn.profile(pool, qs, n):
-        assert (s.L, s.witnesses) == full_pool_greedy(pool, s.q, n)
+    for profile_fn in (pgn.profile, pruned_profile):
+        if pgn.int_rank(v.ints() for v in pool) < n + 1:
+            with pytest.raises(pgn.InsufficientRank):
+                profile_fn(pool, qs, n)
+            continue
+        for s in profile_fn(pool, qs, n):
+            assert (s.L, s.witnesses) == full_pool_greedy(pool, s.q, n)
 
 
 class RebuildFrontier:
@@ -390,11 +394,10 @@ def test_span_rule_keeps_a_subset_with_the_ceiling_rules_profile(case, grid):
     span, ceiling = _undominated(pool, n), ceiling_undominated(pool, n)
     assert sorted(set(range(len(pool))) - set(span)) == sorted(span_dropped(pool, n))
     assert set(span) <= set(ceiling)
-    # the profile over the ceiling rule's vectors, pruned by that rule alone
+    # the profile over the ceiling rule's vectors, taken as given
     qs = [PR(g) / 4 for g in sorted(grid)]
     by_span = pgn.profile([pool[i] for i in span], qs, n)
-    with mock.patch.object(sys.modules["dioph.pgn.profile"], "_undominated", ceiling_undominated):
-        by_ceiling = pgn.profile([pool[i] for i in ceiling], qs, n)
+    by_ceiling = pgn.profile([pool[i] for i in ceiling], qs, n)
     for a, b in zip(by_span, by_ceiling):
         assert a.L == b.L
         assert [span[i] for i in a.witnesses] == [ceiling[i] for i in b.witnesses]
@@ -411,7 +414,7 @@ class TestSpanRule:
         assert _undominated([a, b, v, c], 2) == [0, 1, 3]
         assert ceiling_undominated([a, b, v, c], 2) == [0, 1, 2, 3]
         grid = [PR(g) / 4 for g in range(-8, 12)]
-        for s in pgn.profile([a, b, v, c], grid, 2):
+        for s in pruned_profile([a, b, v, c], grid, 2):
             assert (s.L, s.witnesses) == full_pool_greedy([a, b, v, c], s.q, 2)
 
     def test_keeps_a_vector_below_part_of_its_span(self):
@@ -434,7 +437,7 @@ class TestSpanRule:
         assert len(ceiling_undominated(pool, 2)) == 903
         assert stream_outcome(t, 300, 1) == pool_outcome(t, 300, 1)
         seq = pgn.minimal_points(pool)
-        for s in pgn.profile(pool, pgn.build_q_grid(seq, 2, nlog(PR(300)), count=6), 2):
+        for s in pruned_profile(pool, pgn.build_q_grid(seq, 2, nlog(PR(300)), count=6), 2):
             assert (s.L, s.witnesses) == full_pool_greedy(pool, s.q, 2)
 
 
@@ -492,7 +495,7 @@ def test_stream_matches_the_pool(coords, widen, x_max, bits):
     got = stream_outcome(target, x_max, widen)
     assert got == pool_outcome(target, x_max, widen)
     if not isinstance(got, str):
-        # profile prunes the stream's output again and must keep all of it
+        # pruning the stream's output again keeps all of it
         kept = pgn.undominated_candidates(target, x_max, widen)[0]
         assert _undominated(kept, target.n) == list(range(len(kept)))
 
@@ -525,6 +528,44 @@ def brute_next_near(Xi, E, bound, x):
 def test_next_near_matches_a_scan(case):
     E, Xi, bound, x = case
     assert _next_near(Xi, E, bound, x) == brute_next_near(Xi, E, bound, x)
+
+
+def brute_returns(Xi, E, bound, x):
+    # the near x' in one period after x, x < x' <= x + 2^E, where a zero
+    # error at a multiple of 2^E puts at least one
+    m = 1 << E
+    return [t for t in range(x + 1, x + 1 + m) if min(t * Xi % m, -t * Xi % m) < bound]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.integers(1, 10).flatmap(
+        lambda E: st.tuples(
+            st.just(E),
+            st.integers(-(4 << E), 4 << E) | st.integers(-3, 3).map(lambda k: k << E),
+            st.integers(1, 1 << (E - 1)),
+            st.integers(0, 5 << E),
+        )
+    )
+)
+@example(case=(1, 1, 1, 0))  # the smallest E: bound 1 = 2^(E-1)
+@example(case=(5, 3 << 5, 4, 7))  # a = 0: every x' is near
+@example(case=(6, 0, 1, 3))  # a = 0 and bound 1
+@example(case=(6, 5, 1, 3))  # bound 1: only the multiples of 2^E, t1 = 64 and d1 = 0
+@example(case=(8, 173, 128, 9))  # bound 2^(E-1): all but the ties are near
+@example(case=(8, 46, 5, 0))  # gcd(a, 2^E) = 2 < 2 bound - 1: t2 exists
+@example(case=(8, 46, 1, 0))  # gcd 2 >= 2 bound - 1: d1 = 0 and no t2
+@example(case=(8, 4 * 37, 2, 1))  # gcd 4 >= 3: d1 = 0, a return every 64
+@example(case=(8, 4 * 37, 3, 1))  # gcd 4 < 5: t2 exists
+@example(case=(8, 64, 64, 0))  # xi = 1/4, bound 2^(E-2): multiples of 4 only
+@example(case=(4, 8, 8, 1))  # xi = 1/2: each odd x' ties at exactly half
+@example(case=(10, 633, 3, 0))  # 633 / 2^10 near 1 / golden: long descents
+def test_returns_match_a_scan(case):
+    # every near x' of one period, in order: the rotation's first returns
+    # take every pattern of steps they ever take within it
+    E, Xi, bound, x = case
+    period = x + (1 << E)
+    assert list(takewhile(lambda t: t <= period, _returns(Xi, E, bound, x))) == brute_returns(Xi, E, bound, x)
 
 
 class TestUndominatedCandidates:
@@ -567,30 +608,44 @@ class TestUndominatedCandidates:
         assert size == len(pool) and len(kept) < 0.01 * size
         assert [v.ints() for v in pgn.minimal_points(kept)] == [v.ints() for v in seq]
         grid = pgn.build_q_grid(seq, 2, nlog(PR(3000)), count=30)
-        for a, b in zip(pgn.profile(pool, grid, 2), pgn.profile(kept, grid, 2)):
+        for a, b in zip(pruned_profile(pool, grid, 2), pgn.profile(kept, grid, 2)):
             assert a.L == b.L
             assert [pool[i].ints() for i in a.witnesses] == [kept[i].ints() for i in b.witnesses]
 
 
-@pytest.mark.parametrize(
-    "name, n, x_max, widen",
+WALKED = (
     [
-        (name, n, x_max, widen)
+        (name, n, x_max, widen, 256)
         for name in ("golden", "e", "pi", "sqrt2")
         for n, x_max in ((1, 3000), (2, 1000))
         for widen in (0, 1, 2)
     ]
-    # at n = 3 the stream jumps 25 (pi) and 82 (e) times below x = 300
-    + [(name, 3, 300, widen) for name in ("e", "pi") for widen in (0, 1)],
+    # at n = 3 the stream walks below x = 300, and at 64 bits to x = 2,000
+    + [
+        (name, 3, x_max, widen, bits)
+        for name in ("e", "pi")
+        for widen in (0, 1)
+        for x_max, bits in ((300, 256), (2000, 64))
+    ]
 )
-def test_stream_matches_the_pool_where_it_jumps(name, n, x_max, widen):
+
+
+@pytest.mark.parametrize(
+    "name, n, x_max, widen, bits",
+    WALKED,
+    ids=["-".join(map(str, case[:4] if case[4] == 256 else case)) for case in WALKED],
+)
+def test_stream_matches_the_pool_where_it_jumps(name, n, x_max, widen, bits):
     # past the first few x the frontier's bound is below 2^(E-1), so the
-    # stream jumps over the boxes it would skip
-    target = pgn.TargetPoint.veronese(NAMED_CONSTANTS[name](256), n)
+    # stream walks only the x where every coordinate is near
+    target = pgn.TargetPoint.veronese(NAMED_CONSTANTS[name](bits), n, bits)
     assert stream_outcome(target, x_max, widen) == pool_outcome(target, x_max, widen)
 
 
 def test_stream_builds_few_boxes(monkeypatch):
+    # a box is built at each x before the bound reaches 2^(E-1) and then
+    # only where every coordinate is near: golden built 56 boxes and e
+    # 524 when the stream jumped on one far coordinate at a time
     vectors_module = sys.modules["dioph.pgn.vectors"]
     built = []
     box = vectors_module._box
@@ -600,11 +655,16 @@ def test_stream_builds_few_boxes(monkeypatch):
         return box(X, E, widen, x)
 
     monkeypatch.setattr(vectors_module, "_box", counted)
-    t = pgn.TargetPoint.veronese(golden_value(), 1)
-    kept, size = pgn.undominated_candidates(t, 10**6, widen=1)
-    assert size == 1 + 3 * 10**6 + 1
-    assert len(built) < 100 and built == sorted(set(built))
-    assert [v.x for v in pgn.minimal_points(kept)][-3:] == [317811, 514229, 832040]
+    for name, n, x_max, boxes, last in [
+        ("golden", 1, 10**6, 29, [317811, 514229, 832040]),
+        ("e", 2, 10**4, 42, [969, 2357, 3326]),
+    ]:
+        built.clear()
+        t = pgn.TargetPoint.veronese(NAMED_CONSTANTS[name](256), n)
+        kept, size = pgn.undominated_candidates(t, x_max, widen=1)
+        assert size == n + 3**n * x_max + 1
+        assert len(built) == boxes and built == sorted(set(built))
+        assert [v.x for v in pgn.minimal_points(kept)][-3:] == last
 
 
 class TestMinkowskiDefect:
@@ -621,7 +681,7 @@ class TestMinkowskiDefect:
         pool = pgn.enumerate_candidates(t, 10000, widen=0)
         seq = pgn.minimal_points(pool)
         grid = pgn.build_q_grid(seq, 1, nlog(PR(10000)), count=100)
-        prof = pgn.profile(pool, grid, 1)
+        prof = pruned_profile(pool, grid, 1)
         d = pgn.minkowski_defect(prof)
         assert d < PR(1)  # stays far below the grid extent ~9.2
 

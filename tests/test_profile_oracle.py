@@ -1,7 +1,8 @@
 """profile against its PrecisionReal sweep, kept here as the oracle.
 
 ``reference_profile`` is profile as it ran on PrecisionReal branch values,
-verbatim, before its merge ran on doubles.  The two must give the same L,
+verbatim, before its merge ran on doubles, but for the pruning: like
+profile, it takes its pool as given.  The two must give the same L,
 compared by raw value, and the same witnesses at every grid point, or
 raise the same type of exception.  ``full_pool_greedy`` in
 test_pgn_profile.py stays the independent oracle of both.  The reference
@@ -13,10 +14,11 @@ import sys
 from bisect import bisect_left, insort
 from heapq import heappop, heappush, merge
 from itertools import groupby
+from math import isfinite
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dioph import pgn
@@ -24,7 +26,6 @@ from dioph.numerics import NAMED_CONSTANTS, PrecisionReal, Scalar, e_value
 from dioph.numerics import exp as nexp, log as nlog
 from dioph.pgn import ApproxVector, IntBasis, ProfileSample, crossing_q, vector_L
 from dioph.pgn.profile import _exact_L, _logs, _q_over_n
-from dioph.pgn.vectors import _undominated
 from conftest import moment_vector
 from test_pgn_profile import tied_pools
 
@@ -46,7 +47,7 @@ def reference_profile(
     n: int,
 ) -> List[ProfileSample]:
     pool = list(candidates)
-    kept = _undominated(pool, n)
+    kept = sorted(range(len(pool)), key=lambda i: (pool[i].x, pool[i].y, i))
     vecs = [pool[i] for i in kept]
     falling = sorted((v.log_x, r) for r, v in enumerate(vecs))
     rising: List[Tuple[PrecisionReal, int]] = []
@@ -81,6 +82,8 @@ def reference_profile(
                     continue
             if basis.try_add(vecs[r].ints()):
                 chosen.append((L_val, kept[r]))
+        if len(chosen) <= n:
+            raise pgn.InsufficientRank(f"pool spans rank {len(chosen)} < {n + 1}")
         samples.append(
             ProfileSample(
                 q=q,
@@ -103,7 +106,9 @@ def injected_log(spec, bits):
 def build_case(n, bits, vectors, grid):
     """The pool and grid of a case.  A vector (x, y, log x, log Y) has
     Y = exp(log Y), so pruning sees the Y order of the logs; a grid entry
-    is a/4, or the q_v of pool vector i moved by s ulps at bits."""
+    is a/4, the q_v of pool vector i moved by s ulps at bits, or the q_v
+    of its doubles, n (fx - fy) / (n + 1), at which profile moves it to
+    the rising list."""
     pool = []
     for x, y, lx, ly in vectors:
         log_Y = injected_log(ly, bits)
@@ -113,7 +118,13 @@ def build_case(n, bits, vectors, grid):
         if g[0] == "at":
             qs.append(PR(g[1], bits) / 4)
             continue
-        q = crossing_q(pool[g[1] % len(pool)], pool[g[1] % len(pool)], n)
+        v = pool[g[1] % len(pool)]
+        if g[0] == "fv":
+            qf = n * (float(v.log_x) - float(v.log_Y)) / (n + 1)
+            if isfinite(qf):
+                qs.append(PR(qf, bits))
+            continue
+        q = crossing_q(v, v, n)
         if q.is_finite and q:
             _, _, exp, bc = q.raw
             qs.append(q + PR(g[2], bits) * PR(2, bits) ** (exp + bc - bits))
@@ -157,6 +168,24 @@ def cases(draw):
         )
     )
     return n, bits, vectors, grid
+
+
+@st.composite
+def spent_cases(draw):
+    """(n, bits, vectors, grid) with exactly n + 1 vectors that share one
+    pair of logs (a unit vector its log Y) and grid points at their q_v.
+    Independent, they are all picked.  Where the doubles put q on the
+    other side of a q_v than the working precision does, every vector
+    with x > 0 is merged on the list of its smaller branch, so it is held
+    back until both lists are spent, as in HELD_LAST."""
+    n = draw(st.integers(1, 3))
+    bits = draw(st.sampled_from([53, 64, 256]))  # at 24 bits q rounds far from any double q_v
+    log_x, log_Y = draw(log_spec), draw(log_spec)
+    row = st.tuples(st.integers(0, 6), st.tuples(*[st.integers(-2, 2)] * n))
+    rows = draw(st.lists(row, min_size=n + 1, max_size=n + 1))
+    at_q_v = st.tuples(st.just("qv"), st.integers(0, n), st.integers(-1, 1)) | st.tuples(st.just("fv"), st.integers(0, n))
+    grid = draw(st.lists(at_q_v, min_size=1, max_size=3))
+    return n, bits, [(x, y, None if x == 0 else log_x, log_Y) for x, y in rows], grid
 
 
 # n = 1, q = 1: (1, 0) is picked first at L = 1; (2, 1) and (3, 1) both
@@ -214,10 +243,23 @@ HELD_LAST = [
 @example(case=(1, 53, REVERSED, [("at", 4), ("qv", 0, -1), ("qv", 0, 0), ("qv", 0, 1)]))
 @example(case=(1, 24, COARSE_TIE, [("at", 12)]))
 def test_profile_matches_the_reference(case):
+    assert_matches_the_reference(case)
+
+
+def assert_matches_the_reference(case):
     n, bits, vectors, grid = case
     pool, qs = build_case(n, bits, vectors, grid)
     expect = outcome(reference_profile, pool, qs, n)
     assert outcome(pgn.profile, pool, qs, n) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=spent_cases())
+@example(case=(2, 53, HELD_LAST, [("qv", 0, 0)]))
+def test_profile_matches_the_reference_once_the_lists_are_spent(case):
+    n, bits, vectors, grid = case
+    assume(pgn.int_rank([(x, *y) for x, y, _, _ in vectors]) == n + 1)
+    assert_matches_the_reference(case)
 
 
 def recorded_draws(monkeypatch):
@@ -253,7 +295,7 @@ def test_draws_come_in_float_L_order_with_certified_branches(logs, at, n, bits):
         ApproxVector(i + 1, moment_vector(i + 1, n)[1:], nexp(PR(ly, bits)), bits, log_x=PR(lx, bits), log_Y=PR(ly, bits))
         for i, (lx, ly) in enumerate(logs)
     ]
-    vecs = [pool[i] for i in _undominated(pool, n)]
+    vecs = pool  # x = 1, 2, ...: rank is the index
     if isinstance(at, int):
         q = crossing_q(vecs[at % len(vecs)], vecs[at % len(vecs)], n)
         if not q.is_finite:
@@ -342,11 +384,9 @@ def test_one_independence_test_per_set_and_vector(monkeypatch):
         return try_add(self, vec)
 
     monkeypatch.setattr(IntBasis, "try_add", counted)
-    _undominated(kept, 2)
-    pruning, calls = calls, 0
     assert outcome(pgn.profile, kept, grid, 2) == expect
-    # the sweep's calls are those beyond the pruning's, which profile runs first
-    assert (len(grid), len(tests), len(set(tests)), calls - pruning) == (218, 728, 93, 93)
+    # profile takes the kept vectors as given: its only calls are the sweep's
+    assert (len(grid), len(tests), len(set(tests)), calls) == (218, 728, 93, 93)
 
 
 @pytest.mark.parametrize("bits", [24, 53, 64])
